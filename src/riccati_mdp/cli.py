@@ -16,6 +16,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .linalg import SystemModel, validate_system
 from .models import scalar_study_model
 from .montecarlo import (
@@ -25,7 +27,7 @@ from .montecarlo import (
     simulate_rre,
 )
 from .operators import solve_dare
-from .rate import EventPredicate, iota, iota_plus, rate_over_set
+from .rate import DEFAULT_K_CAP, EventPredicate, iota, iota_plus, rate_over_set
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -191,6 +193,7 @@ def cmd_invariant(args) -> int:
     except ValueError as exc:
         raise ConfigError(f"invariant: {exc}") from exc
     dist = sample_invariant(model, cfg, threads=threads)
+    dist.require_finite()
 
     out = _out_dir(args)
     rows = [
@@ -207,7 +210,7 @@ def cmd_rate(args) -> int:
     model = _model_from_config(config)
     block = _block(config, "rate")
     pred = _predicate_from_block(block, "rate")
-    k_cap = int(block.get("k_cap", 22))
+    k_cap = int(block.get("k_cap", DEFAULT_K_CAP))
 
     p_star = solve_dare(model).p_star
     fast_ok = (
@@ -318,15 +321,14 @@ def cmd_reproduce_scalar(args) -> int:
     _write_csv(out / "probs.csv", _PROBS_HEADER, prob_rows)
     _write_csv(out / "fit.csv", _FIT_HEADER, [fit_row])
 
-    cdf_rows = []
-    for j, gamma in enumerate(grid):
-        cfg = SimulationConfig(gamma_bar=gamma, n_samples=STUDY_N_SAMPLES,
-                               burn_in=STUDY_BURN_IN, seed=(seed, j))
-        dist = sample_invariant(model, cfg, threads=threads)
-        values = sorted(dist.scalar_values().tolist())
-        for i, x in enumerate(values):
-            cdf_rows.append([gamma, x, (i + 1) / len(values)])
-    _write_csv(out / "cdf.csv", ["gamma_bar", "x", "cdf"], cdf_rows)
+    # The fit's own samples: gridpoint j was drawn with seed (seed, j).
+    with open(out / "cdf.csv", "w", newline="") as fh:
+        fh.write("gamma_bar,x,cdf\n")
+        for gamma, dist in zip(grid, fit.distributions):
+            values = np.sort(dist.scalar_values())
+            n = values.size
+            for i, x in enumerate(values.tolist(), 1):
+                fh.write("%.17g,%.17g,%.17g\n" % (gamma, x, i / n))
 
     lo, hi = SLOPE_WINDOW
     passed = lo <= fit.slope <= hi and exact == 4

@@ -1,29 +1,38 @@
 """Seeded Monte-Carlo sampling of the covariance chain, and its analytics.
 
-Reproducibility protocol: every chain owns a private bit stream derived from
-(master seed, chain index) through numpy's SeedSequence, so results are
-bit-identical regardless of batching, thread count, or evaluation order.  A
-sweep over arrival rates derives per-gridpoint master seeds the same way,
-(master seed, gridpoint index).
+Reproducibility protocol: one sampling run draws its arrival bits from a
+counter-based Philox generator keyed by the run's seed tuple (Salmon, Moraes,
+Dror and Shaw, "Parallel random numbers: as easy as 1, 2, 3", SC'11).  Chain
+i reads row i of an (n_chains, steps) block of uniforms, and advancing the
+counter reaches any row directly, so any chain subset can be reproduced in
+isolation and results are bit-identical regardless of batching, thread count,
+or evaluation order.  A sweep over arrival rates derives per-gridpoint seed
+tuples as (master seed, gridpoint index).
 
-Chains advance in lockstep as a stacked array of covariances; that keeps the
-per-step cost at a handful of vectorized matrix products even for tens of
-thousands of chains.
+Chains advance in lockstep as a stacked array of covariances through the
+batched kernel `operators.step`; that keeps the per-step cost at a handful of
+vectorized operations even for tens of thousands of chains.  A chain that
+overflows is counted, never silently scored: the analytics below raise
+RuntimeError when any chain is non-finite.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .linalg import SymMatrix, as_sym, spectral_norm
-from .operators import lyapunov_step, riccati_step, uniform_bound_kappa
+from .operators import (lyapunov_step, norms, riccati_step, solve_dare, step,
+                        uniform_bound_kappa)
 from .rate import EventPredicate
-from .operators import solve_dare
+
+# Uniforms drawn per chunk when building arrival bits; bounds the float64
+# scratch instead of holding a whole (n_chains, steps) block of doubles.
+_DRAW_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -63,9 +72,32 @@ def _as_seed_tuple(seed) -> tuple:
     return tuple(int(s) for s in seed)
 
 
-def _chain_bits(seed_tuple: tuple, chain: int, steps: int, gamma_bar: float) -> np.ndarray:
-    rng = np.random.default_rng(np.random.SeedSequence(seed_tuple + (chain,)))
-    return rng.random(steps) < gamma_bar
+def _arrival_bits(seed_tuple: tuple, gamma_bar: float, lo: int, hi: int,
+                  steps: int) -> np.ndarray:
+    """Arrival bits of chains lo..hi-1, shape (hi - lo, steps).
+
+    Rows lo..hi-1 of the run's (n_chains, steps) uniform block, thresholded
+    at gamma_bar.  Each Philox counter value yields four 64-bit draws, one
+    per double, so row lo starts after advancing the counter by
+    (lo * steps) // 4 and discarding the remaining (lo * steps) % 4 draws.
+    """
+    key = np.random.SeedSequence(seed_tuple).generate_state(2, np.uint64)
+    bitgen = np.random.Philox(key=key)
+    start = int(lo) * int(steps)
+    bitgen.advance(start // 4)
+    bitgen.random_raw(start % 4)
+    rng = np.random.Generator(bitgen)
+    bits = np.empty((hi - lo, steps), dtype=bool)
+    flat = bits.reshape(-1)
+    for i in range(0, flat.size, _DRAW_CHUNK):
+        chunk = flat[i:i + _DRAW_CHUNK]
+        np.less(rng.random(chunk.size), gamma_bar, out=chunk)
+    return bits
+
+
+def _count_non_finite(p: np.ndarray) -> int:
+    """Chains in a stack (n, N, N) with any non-finite entry."""
+    return int(p.shape[0] - np.count_nonzero(np.isfinite(p).all(axis=(1, 2))))
 
 
 def _resolve_p0(m, cfg: SimulationConfig) -> SymMatrix:
@@ -73,25 +105,6 @@ def _resolve_p0(m, cfg: SimulationConfig) -> SymMatrix:
     if p0.dim != m.dim_state:
         raise ValueError(f"P0 must be {m.dim_state}x{m.dim_state}, got {p0.dim}x{p0.dim}")
     return p0
-
-
-def _advance_batch(m, p: np.ndarray, arrived: np.ndarray) -> np.ndarray:
-    """One chain step for a stack of covariances p (n, N, N), in place of loops.
-
-    Every chain gets the open-loop update; chains whose bit arrived get the
-    measurement correction subtracted.  Output is re-symmetrized to stop
-    round-off drift from accumulating across steps.
-    """
-    a, at, q = m.A, m.A.T, m.Q.a
-    out = a @ p @ at + q
-    if arrived.any():
-        pa = p[arrived]
-        axct = a @ pa @ m.C.T
-        innov = m.C @ pa @ m.C.T + m.R.a
-        innov = (innov + np.transpose(innov, (0, 2, 1))) / 2.0
-        gain = np.linalg.solve(innov, np.transpose(axct, (0, 2, 1)))
-        out[arrived] -= axct @ gain
-    return (out + np.transpose(out, (0, 2, 1))) / 2.0
 
 
 @dataclass(frozen=True)
@@ -116,7 +129,7 @@ def simulate_rre(m, cfg: SimulationConfig,
     p0 = _resolve_p0(m, cfg)
     t_max = cfg.horizon
     if arrivals is None:
-        bits = _chain_bits(cfg.seed_tuple(), 0, t_max, cfg.gamma_bar).astype(int)
+        bits = _arrival_bits(cfg.seed_tuple(), cfg.gamma_bar, 0, 1, t_max)[0].astype(int)
     else:
         bits = np.asarray(list(arrivals), dtype=int)
         if bits.shape != (t_max,):
@@ -133,12 +146,20 @@ def simulate_rre(m, cfg: SimulationConfig,
 
 @dataclass(frozen=True)
 class EmpiricalDistribution:
-    """Final covariances of n independent chains after the burn-in."""
+    """Final covariances of n independent chains after the burn-in.
+
+    non_finite counts the chains that overflowed to inf or NaN; analytics
+    over the sample refuse to run while it is nonzero.
+    """
 
     samples: np.ndarray
     gamma_bar: float
     burn_in: int
     seed: tuple
+    non_finite: int = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "non_finite", _count_non_finite(self.samples))
 
     @property
     def n(self) -> int:
@@ -153,27 +174,32 @@ class EmpiricalDistribution:
             raise ValueError(f"scalar view needs 1x1 samples, got dim {self.dim}")
         return self.samples[:, 0, 0]
 
+    def require_finite(self) -> None:
+        """Raise RuntimeError when any chain went non-finite."""
+        if self.non_finite:
+            raise RuntimeError(
+                f"{self.non_finite} of {self.n} chains went non-finite "
+                f"(gamma_bar={self.gamma_bar}, burn_in={self.burn_in})"
+            )
+
 
 def sample_invariant(m, cfg: SimulationConfig, threads: int = 1) -> EmpiricalDistribution:
     """Draw n_samples chains for burn_in steps each; keep the final covariances.
 
-    Chain i's bits come from (seed, i), so any contiguous block of chains can
-    be advanced independently; `threads` splits the chain index range across a
-    thread pool and reassembles in index order, leaving the samples identical
-    to the single-threaded run.
+    Chain i's bits are row i of the run's uniform block, so any contiguous
+    block of chains can be advanced independently; `threads` splits the
+    chain index range across a thread pool and reassembles in index order,
+    leaving the samples identical to the single-threaded run.
     """
     p0 = _resolve_p0(m, cfg)
     n, burn = cfg.n_samples, cfg.burn_in
     seed_tuple = cfg.seed_tuple()
 
     def run_block(lo: int, hi: int) -> np.ndarray:
-        count = hi - lo
-        bits = np.empty((count, burn), dtype=bool)
-        for i in range(count):
-            bits[i] = _chain_bits(seed_tuple, lo + i, burn, cfg.gamma_bar)
-        p = np.broadcast_to(p0.a, (count, p0.dim, p0.dim)).copy()
+        bits = _arrival_bits(seed_tuple, cfg.gamma_bar, lo, hi, burn)
+        p = np.broadcast_to(p0.a, (hi - lo, p0.dim, p0.dim)).copy()
         for t in range(burn):
-            p = _advance_batch(m, p, bits[:, t])
+            p = step(m, p, bits[:, t])
         return p
 
     threads = max(1, int(threads))
@@ -191,7 +217,12 @@ def sample_invariant(m, cfg: SimulationConfig, threads: int = 1) -> EmpiricalDis
 
 def event_probability(d: EmpiricalDistribution, pred: EventPredicate,
                       p_star: Optional[SymMatrix] = None) -> tuple[float, int]:
-    """Hit fraction and raw hit count of the event over the sample."""
+    """Hit fraction and raw hit count of the event over the sample.
+
+    Raises RuntimeError when any chain went non-finite: a NaN sample would
+    otherwise count as a miss.
+    """
+    d.require_finite()
     mask = pred.batch(d.samples, p_star)
     hits = int(np.sum(mask))
     return hits / d.n, hits
@@ -205,6 +236,8 @@ class ExponentFit:
     censored, and excluded from the regression.  burn_in_drift compares one
     gridpoint against a doubled burn-in as an adequacy cross-check: the two
     hit fractions should agree within 2 combined standard errors.
+    distributions holds each gridpoint's sample, so callers reuse it instead
+    of sampling again; it is not part of to_dict.
     """
 
     gamma_grid: tuple
@@ -219,6 +252,7 @@ class ExponentFit:
     burn_in: int
     seed: tuple
     burn_in_drift: Optional[dict] = None
+    distributions: tuple = field(default=(), repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -258,7 +292,7 @@ def decay_exponent_fit(m, pred: EventPredicate, gamma_grid: Sequence[float],
     seed_tuple = _as_seed_tuple(seed)
     p_star = solve_dare(m).p_star
 
-    probs, hits = [], []
+    probs, hits, dists = [], [], []
     for j, g in enumerate(grid):
         cfg = SimulationConfig(gamma_bar=g, n_samples=n_samples, burn_in=burn_in,
                                seed=seed_tuple + (j,), p0=p0)
@@ -266,6 +300,7 @@ def decay_exponent_fit(m, pred: EventPredicate, gamma_grid: Sequence[float],
         p_hat, k = event_probability(dist, pred, p_star)
         probs.append(p_hat)
         hits.append(k)
+        dists.append(dist)
     censored = tuple(k == 0 for k in hits)
 
     xs = np.array([math.log(1.0 - g) for g, c in zip(grid, censored) if not c])
@@ -283,29 +318,27 @@ def decay_exponent_fit(m, pred: EventPredicate, gamma_grid: Sequence[float],
 
     drift = None
     if check_burn_in:
-        drift = _burn_in_drift(m, pred, grid[0], n_samples, burn_in,
+        drift = _burn_in_drift(m, pred, grid[0], probs[0], n_samples, burn_in,
                                seed_tuple + (0,), threads, p0, p_star)
 
     return ExponentFit(
         gamma_grid=grid, probs=tuple(probs), hits=tuple(hits), censored=censored,
         slope=float(slope), intercept=float(intercept), stderr=stderr,
         points_used=int(xs.size), n_samples=n_samples, burn_in=burn_in,
-        seed=seed_tuple, burn_in_drift=drift,
+        seed=seed_tuple, burn_in_drift=drift, distributions=tuple(dists),
     )
 
 
-def _burn_in_drift(m, pred, gamma_bar, n_samples, burn_in, seed_tuple,
+def _burn_in_drift(m, pred, gamma_bar, p1, n_samples, burn_in, seed_tuple,
                    threads, p0, p_star) -> dict:
-    """Hit fraction at burn_in vs 2 * burn_in on one gridpoint, same seeds."""
-    p1 = None
-    fractions = []
-    for factor in (1, 2):
-        cfg = SimulationConfig(gamma_bar=gamma_bar, n_samples=n_samples,
-                               burn_in=burn_in * factor, seed=seed_tuple, p0=p0)
-        dist = sample_invariant(m, cfg, threads=threads)
-        frac, _ = event_probability(dist, pred, p_star)
-        fractions.append(frac)
-    p1, p2 = fractions
+    """Hit fraction p1 at burn_in vs a fresh run at 2 * burn_in, same seeds.
+
+    p1 is the fit's own hit fraction at this gridpoint, which was sampled
+    with the same seed and config, so only the doubled burn-in is drawn.
+    """
+    cfg = SimulationConfig(gamma_bar=gamma_bar, n_samples=n_samples,
+                           burn_in=2 * burn_in, seed=seed_tuple, p0=p0)
+    p2, _ = event_probability(sample_invariant(m, cfg, threads=threads), pred, p_star)
     se = math.sqrt(p1 * (1 - p1) / n_samples + p2 * (1 - p2) / n_samples)
     return {
         "gamma_bar": gamma_bar,
@@ -438,31 +471,32 @@ def exceedance_sup(m, gamma_bar: float, thresholds: Sequence[float], horizon: in
                    p0: Optional[SymMatrix] = None) -> ExceedanceReport:
     """Empirical sup_t P(||P_t|| > M) over t = 0..horizon for each M.
 
-    All thresholds share one batch of chains (seeded per chain as everywhere
-    else), so the frequencies are comparable across thresholds.
+    All thresholds share one batch of chains (chain i reads row i of the
+    run's uniform block, as everywhere else), so the frequencies are
+    comparable across thresholds.  Raises RuntimeError when any chain went
+    non-finite within the horizon.
     """
     thresholds = tuple(float(t) for t in thresholds)
     p0 = p0 if p0 is not None else m.P0
     seed_tuple = _as_seed_tuple(seed)
 
-    bits = np.empty((n_chains, horizon), dtype=bool)
-    for i in range(n_chains):
-        bits[i] = _chain_bits(seed_tuple, i, horizon, gamma_bar)
+    bits = _arrival_bits(seed_tuple, gamma_bar, 0, n_chains, horizon)
 
     p = np.broadcast_to(p0.a, (n_chains, p0.dim, p0.dim)).copy()
     sup_freq = [0.0] * len(thresholds)
     arg_t = [0] * len(thresholds)
     for t in range(horizon + 1):
-        if p.shape[1] == 1:
-            norms = np.abs(p[:, 0, 0])
-        else:
-            norms = np.max(np.abs(np.linalg.eigvalsh(p)), axis=-1)
+        bad = _count_non_finite(p)
+        if bad:
+            raise RuntimeError(f"{bad} of {n_chains} chains went non-finite by step "
+                               f"{t} (gamma_bar={gamma_bar})")
+        p_norms = norms(p)
         for j, thr in enumerate(thresholds):
-            freq = float(np.mean(norms > thr))
+            freq = float(np.mean(p_norms > thr))
             if freq > sup_freq[j]:
                 sup_freq[j] = freq
                 arg_t[j] = t
         if t < horizon:
-            p = _advance_batch(m, p, bits[:, t])
+            p = step(m, p, bits[:, t])
     return ExceedanceReport(thresholds=thresholds, sup_frequency=tuple(sup_freq),
                             argmax_t=tuple(arg_t), n_chains=n_chains, horizon=horizon)

@@ -64,6 +64,59 @@ def riccati_step(m, x: SymMatrix) -> SymMatrix:
     return SymMatrix(m.A @ x.a @ m.A.T + m.Q.a - correction)
 
 
+def step(m, p: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """One update of a stack p of shape (k, N, N): f1 where bits is set, else f0.
+
+    The batched form of `lyapunov_step` / `riccati_step` for many chains at
+    once; inputs are trusted to be symmetric PSD and are not checked.
+
+    * N = 1 with one output uses the closed forms a^2 x + q and
+      a^2 x + q - (a c x)^2 / (c^2 x + r), elementwise.
+    * Otherwise A P A^T is two matrix products over the (k*N, N) reshaped
+      stack.  A single output makes the correction the rank-one term
+      u u^T / s with u = A P c^T and s = c P c^T + r; more outputs solve
+      against the innovation matrix, and a singular one raises RuntimeError.
+      The result is re-symmetrized so round-off cannot drift across steps.
+    """
+    k, n, _ = p.shape
+    arrived = np.asarray(bits, dtype=bool)[:, None, None]
+    if n == 1 and m.dim_obs == 1:
+        a, c = m.A[0, 0], m.C[0, 0]
+        f0 = a * a * p + m.Q.a[0, 0]
+        f1 = f0 - (a * c * p) ** 2 / (c * c * p + m.R.a[0, 0])
+        return np.where(arrived, f1, f0)
+    a, c = m.A, m.C
+    flat = p.reshape(k * n, n)
+    # Rows of A P, stacked: each P A^T transposed, since P = P^T.
+    ap = (flat @ a.T).reshape(k, n, n).transpose(0, 2, 1).reshape(k * n, n)
+    f0 = (ap @ a.T).reshape(k, n, n) + m.Q.a
+    if m.dim_obs == 1:
+        pc = (flat @ c[0]).reshape(k, n)
+        u = pc @ a.T
+        s = pc @ c[0] + m.R.a[0, 0]
+        corr = u[:, :, None] * (u / s[:, None])[:, None, :]
+    else:
+        axct = (ap @ c.T).reshape(k, n, -1)
+        innov = c @ (flat @ c.T).reshape(k, n, -1) + m.R.a
+        innov = (innov + np.transpose(innov, (0, 2, 1))) / 2.0
+        try:
+            corr = axct @ np.linalg.solve(innov, np.transpose(axct, (0, 2, 1)))
+        except np.linalg.LinAlgError as exc:
+            # Admissible models keep the innovation positive definite, so
+            # this only happens once a chain has gone non-finite.
+            raise RuntimeError(f"innovation matrix is singular: {exc}") from exc
+    out = np.where(arrived, f0 - corr, f0)
+    return (out + np.transpose(out, (0, 2, 1))) / 2.0
+
+
+def norms(p: np.ndarray) -> np.ndarray:
+    """Spectral norms of a stack of symmetric matrices of shape (k, N, N)."""
+    if p.shape[-1] == 1:
+        return np.abs(p[:, 0, 0])
+    sym = (p + np.transpose(p, (0, 2, 1))) / 2.0
+    return np.max(np.abs(np.linalg.eigvalsh(sym)), axis=-1)
+
+
 def riccati_power(m, x: SymMatrix, t: int) -> SymMatrix:
     """t-fold application of the measurement update, f1^t(X)."""
     if t < 0:

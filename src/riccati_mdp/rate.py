@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from .linalg import SymMatrix, as_sym, loewner_leq, spectral_norm
-from .operators import lyapunov_step, random_psd, riccati_step, solve_dare
+from .operators import lyapunov_step, norms, random_psd, riccati_step, solve_dare
 from .strings import GammaString, value_key
 
 # Hard ceiling on enumeration depth: 2^26 states is the direct-search limit.
@@ -126,18 +126,11 @@ class EventPredicate:
             return np.array([bool(self.fn(SymMatrix(v))) for v in values], dtype=bool)
         if self.kind == "ballc":
             delta = values - self._resolved_center(p_star).a
-            norms = _batch_spectral_norms(delta)
-            return norms > self.threshold if self.open_ else norms >= self.threshold
+            dist = norms(delta)
+            return dist > self.threshold if self.open_ else dist >= self.threshold
         if self.kind == "norm-above":
-            return _batch_spectral_norms(values) > self.threshold
+            return norms(values) > self.threshold
         raise ValueError(f"unknown predicate kind {self.kind!r}")
-
-
-def _batch_spectral_norms(values: np.ndarray) -> np.ndarray:
-    if values.shape[-1] == 1:
-        return np.abs(values[:, 0, 0])
-    sym = (values + np.transpose(values, (0, 2, 1))) / 2.0
-    return np.max(np.abs(np.linalg.eigvalsh(sym)), axis=-1)
 
 
 def iota(m, m_radius: float, cap: int = IOTA_CAP,

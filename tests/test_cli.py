@@ -1,11 +1,14 @@
+import inspect
 import json
 import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from riccati_mdp import cli
+from riccati_mdp import SimulationConfig, SystemModel, cli, montecarlo, rate_over_set
+from riccati_mdp.models import scalar_study_model
 
 SCALAR_MODEL = {
     "A": [[1.4142135623730951]],
@@ -136,6 +139,16 @@ class TestInvariant:
         assert cli.main(["invariant", "--config", cfg]) == 2
         assert cli.THREADS_ENV_VAR in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_chains_exit_three(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path, model=PLANAR_MODEL,
+            invariant={"gamma": 1e-9, "n_samples": 50, "burn_in": 2000, "seed": 1})
+        out = tmp_path / "inv"
+        assert cli.main(["invariant", "--config", cfg, "--out", str(out)]) == 3
+        assert "non-finite" in capsys.readouterr().err
+        assert not (out / "samples.csv").exists()
+
     def test_zero_threads_rejected(self, tmp_path, monkeypatch):
         cfg = write_config(
             tmp_path, invariant={"gamma": 0.7, "n_samples": 10, "burn_in": 5, "seed": 1})
@@ -191,6 +204,21 @@ class TestRate:
         assert payload["exponent"] == 15
         assert payload["minimizer"] == "0^15"
 
+    def test_default_k_cap_matches_rate_over_set(self, tmp_path, capsys):
+        # Scalar open-loop distance after k steps is (2^k - 1)(2 + sqrt 2).
+        # Without "k_cap" an event first reached at the default cap resolves
+        # and one reached a step later does not.
+        default = inspect.signature(rate_over_set).parameters["k_cap"].default
+
+        def dist(k):
+            return (2.0 ** k - 1.0) * (2.0 + math.sqrt(2.0))
+
+        for k, expected in ((default, default), (default + 1, "inf")):
+            radius = (dist(k - 1) + dist(k)) / 2.0
+            cfg = write_config(tmp_path, rate={"predicate": f"ballc:{radius!r}"})
+            assert cli.main(["rate", "--config", cfg]) == 0
+            assert json.loads(capsys.readouterr().out)["exponent"] == expected
+
     def test_bad_predicate(self, tmp_path, capsys):
         cfg = write_config(tmp_path, rate={"predicate": "ballc:0"})
         assert cli.main(["rate", "--config", cfg]) == 2
@@ -227,6 +255,50 @@ class TestExponent:
                       "n_samples": 50, "burn_in": 40, "seed": 5})
         assert cli.main(["exponent", "--config", cfg]) == 3
         assert "numeric error" in capsys.readouterr().err
+
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_chains_exit_three(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path, model=PLANAR_MODEL,
+            exponent={"predicate": "ballc:20", "gamma_grid": [1e-9, 2e-9, 3e-9],
+                      "n_samples": 50, "burn_in": 2000, "seed": 1})
+        assert cli.main(["exponent", "--config", cfg]) == 3
+        assert "non-finite" in capsys.readouterr().err
+
+
+class TestReproduceScalar:
+    def test_cdf_reuses_fit_samples(self, tmp_path, monkeypatch):
+        calls = []
+        real = montecarlo.sample_invariant
+
+        def counting(m, cfg, threads=1):
+            calls.append(cfg)
+            return real(m, cfg, threads=threads)
+
+        monkeypatch.setattr(montecarlo, "sample_invariant", counting)
+        out = tmp_path / "study"
+        assert cli.main(["reproduce-scalar", "--out", str(out)]) == 0
+        # One draw per gridpoint plus the doubled burn-in check.
+        assert len(calls) == len(cli.STUDY_GRID) + 1
+        monkeypatch.undo()
+
+        rows = np.loadtxt(out / "cdf.csv", delimiter=",", skiprows=1)
+        for j, gamma in enumerate(cli.STUDY_GRID):
+            cfg = SimulationConfig(gamma_bar=gamma, n_samples=cli.STUDY_N_SAMPLES,
+                                   burn_in=cli.STUDY_BURN_IN, seed=(cli.STUDY_SEED, j))
+            fresh = np.sort(real(scalar_study_model(), cfg).scalar_values())
+            block = rows[rows[:, 0] == gamma]
+            assert np.array_equal(block[:, 1], fresh)
+            assert np.array_equal(block[:, 2], np.arange(1, fresh.size + 1) / fresh.size)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_chains_exit_three(self, tmp_path, monkeypatch, capsys):
+        # A start at 1e308 overflows on the first step of every chain.
+        monkeypatch.setattr(cli, "scalar_study_model", lambda: SystemModel(
+            A=math.sqrt(2.0), C=1.0, Q=1.0, R=1.0, P0=1e308))
+        assert cli.main(["reproduce-scalar", "--out", str(tmp_path / "s")]) == 3
+        assert "non-finite" in capsys.readouterr().err
 
 
 class TestEntryPoint:

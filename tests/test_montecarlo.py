@@ -20,6 +20,7 @@ from riccati_mdp import (
 )
 
 import oracles
+from riccati_mdp.montecarlo import _arrival_bits
 
 
 class TestSimulationConfig:
@@ -142,6 +143,45 @@ class TestSampleInvariant:
         d = sample_invariant(planar, cfg)
         with pytest.raises(ValueError):
             d.scalar_values()
+
+
+class TestArrivalStreams:
+    def test_row_subset_matches_full_draw(self):
+        # 20 000 chains x 7 steps spans three 64K draw chunks; every lo below
+        # makes lo * steps % 4 != 0, so the start needs advance plus discard.
+        steps, n = 7, 20_000
+        full = _arrival_bits((11, 2), 0.5, 0, n, steps)
+        for lo, hi in ((1, 5), (3, 9_500), (9_363, n), (19_999, n)):
+            assert (lo * steps) % 4 != 0
+            assert np.array_equal(_arrival_bits((11, 2), 0.5, lo, hi, steps), full[lo:hi])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestNonFinite:
+    """Planar chains that never observe overflow to inf and then NaN."""
+
+    @pytest.fixture(scope="class")
+    def blown_up(self, planar):
+        cfg = SimulationConfig(gamma_bar=1e-9, n_samples=50, burn_in=2000, seed=0)
+        return sample_invariant(planar, cfg)
+
+    def test_distribution_counts_non_finite_chains(self, blown_up, scalar_model):
+        assert blown_up.non_finite == 50
+        cfg = SimulationConfig(gamma_bar=0.7, n_samples=50, burn_in=20, seed=0)
+        assert sample_invariant(scalar_model, cfg).non_finite == 0
+
+    def test_event_probability_raises(self, blown_up, planar_pstar):
+        with pytest.raises(RuntimeError, match="50 of 50 chains went non-finite"):
+            event_probability(blown_up, EventPredicate.ball_complement(1.0), planar_pstar)
+
+    def test_decay_exponent_fit_raises(self, planar):
+        with pytest.raises(RuntimeError, match="non-finite"):
+            decay_exponent_fit(planar, EventPredicate.ball_complement(20.0),
+                               [1e-9, 2e-9, 3e-9], 50, 2000, 0)
+
+    def test_exceedance_sup_raises(self, planar):
+        with pytest.raises(RuntimeError, match="non-finite"):
+            exceedance_sup(planar, 1e-9, [20.0], horizon=2000, n_chains=50, seed=0)
 
 
 class TestEventProbability:

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riccati_mdp import (
+    SystemModel,
     SymMatrix,
     estimate_contraction,
     loewner_leq,
@@ -16,6 +19,7 @@ from riccati_mdp import (
     uniform_bound_kappa,
 )
 from riccati_mdp.models import planar_model, scalar_study_model
+from riccati_mdp.operators import step
 
 import oracles
 
@@ -65,6 +69,46 @@ class TestSteps:
             y = riccati_step(planar, x)
             assert np.array_equal(y.a, y.a.T)
             assert np.linalg.eigvalsh(y.a).min() >= -1e-9 * (1 + spectral_norm(y))
+
+
+def _random_model(rng, n, outputs):
+    """Admissible-shaped model with PD noise; stability is not required."""
+    g, h = rng.standard_normal((n, n)), rng.standard_normal((outputs, outputs))
+    return SystemModel(A=rng.standard_normal((n, n)) * rng.uniform(0.3, 1.5),
+                       C=rng.standard_normal((outputs, n)),
+                       Q=g @ g.T + 0.1 * np.eye(n), R=h @ h.T + 0.5 * np.eye(outputs),
+                       P0=np.eye(n))
+
+
+class TestBatchedKernel:
+    """operators.step against the oracle maps and the single-matrix steps.
+
+    Output dimension 1 takes the rank-one branch (and the closed forms at
+    N = 1); output dimension 2 takes the solve branch.  Errors are measured
+    against the size of f0(P), which bounds the cancellation in f1.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 3), outputs=st.integers(1, 2),
+           k=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+    def test_matches_oracle_and_single_matrix_steps(self, n, outputs, k, seed):
+        rng = np.random.default_rng(seed)
+        m = _random_model(rng, n, outputs)
+        stack = np.stack([random_psd(rng, n, float(10.0 ** rng.uniform(-2, 3))).a
+                          for _ in range(k)])
+        bits = rng.random(k) < 0.5
+        got = step(m, stack, bits)
+
+        f0, f1 = oracles.make_batched_maps(m.A, m.C, m.Q.a, m.R.a)
+        open_loop = f0(stack)
+        want = np.where(bits[:, None, None], f1(stack), open_loop)
+        scale = 1.0 + np.abs(open_loop).max(axis=(1, 2))
+        assert np.all(np.abs(got - want).max(axis=(1, 2)) <= 1e-10 * scale)
+        assert np.array_equal(got, np.transpose(got, (0, 2, 1)))
+
+        for p, b, g, s in zip(stack, bits, got, scale):
+            single = (riccati_step if b else lyapunov_step)(m, SymMatrix(p))
+            assert np.abs(single.a - g).max() <= 1e-10 * s
 
 
 class TestDare:
