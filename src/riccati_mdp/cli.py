@@ -216,6 +216,9 @@ def cmd_rate(args) -> int:
     fast_ok = (
         model.dim_state == 1 and pred.kind == "ballc" and pred.center is None
     )
+    if args.verify and not fast_ok:
+        raise ConfigError("--verify applies only to the orbit fast path "
+                          "(scalar models with a ballc predicate)")
     payload: dict
     if fast_ok:
         escape = iota_plus if pred.open_ else iota
@@ -242,8 +245,6 @@ def cmd_rate(args) -> int:
         solution = rate_over_set(model, pred, k_cap=k_cap, p_star=p_star)
         payload = solution.to_dict()
         payload["method"] = "enumeration"
-        if args.verify:
-            payload["verified"] = True
 
     text = json.dumps(payload, indent=2, sort_keys=True)
     print(text)
@@ -384,7 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rate", help="exact decay exponent of an event")
     add_common(p)
     p.add_argument("--verify", action="store_true",
-                   help="cross-check the fast path against full enumeration")
+                   help="cross-check the orbit fast path against the word-tree "
+                        "enumeration (scalar models with a ballc predicate only)")
     p.set_defaults(handler=cmd_rate)
 
     p = sub.add_parser("exponent", help="Monte-Carlo decay-exponent fit")

@@ -26,8 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .linalg import SymMatrix, as_sym, spectral_norm
-from .operators import (lyapunov_step, norms, riccati_step, solve_dare, step,
-                        uniform_bound_kappa)
+from .operators import norms, solve_dare, step, uniform_bound_kappa
 from .rate import EventPredicate
 
 # Uniforms drawn per chunk when building arrival bits; bounds the float64
@@ -124,7 +123,9 @@ def simulate_rre(m, cfg: SimulationConfig,
 
     `arrivals` overrides the random bit stream with a forced sequence (the
     deterministic hook used to pin down corner cases); it must have exactly
-    horizon entries of 0 or 1.
+    horizon entries of 0 or 1.  The path advances through `operators.step`
+    on a batch of one, and a step that overflows raises RuntimeError naming
+    that step.
     """
     p0 = _resolve_p0(m, cfg)
     t_max = cfg.horizon
@@ -137,10 +138,13 @@ def simulate_rre(m, cfg: SimulationConfig,
         if not np.all((bits == 0) | (bits == 1)):
             raise ValueError("forced arrivals must be 0 or 1")
     path = [p0]
-    x = p0
+    p = p0.a[None]
     for t in range(t_max):
-        x = riccati_step(m, x) if bits[t] else lyapunov_step(m, x)
-        path.append(x)
+        p = step(m, p, bits[t:t + 1])
+        if _count_non_finite(p):
+            raise RuntimeError(f"the path went non-finite at step {t + 1} "
+                               f"(gamma_bar={cfg.gamma_bar})")
+        path.append(SymMatrix(p[0]))
     return Trajectory(path=tuple(path), arrivals=tuple(int(b) for b in bits))
 
 

@@ -17,11 +17,9 @@ fixed-point iteration (`solve_dare`).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .linalg import DEFAULT_ORDER_TOL, SymMatrix, as_sym, spectral_norm
 
@@ -37,38 +35,32 @@ def _require_psd(x: SymMatrix, what: str) -> SymMatrix:
     return x
 
 
-def lyapunov_step(m, x: SymMatrix) -> SymMatrix:
-    """Open-loop update f0(X) = A X A^T + Q."""
+def _single_step(m, x: SymMatrix, arrived: bool) -> SymMatrix:
     x = _require_psd(x, "X")
     if x.dim != m.dim_state:
         raise ValueError(f"X must be {m.dim_state}x{m.dim_state}, got {x.dim}x{x.dim}")
-    return SymMatrix(m.A @ x.a @ m.A.T + m.Q.a)
+    return SymMatrix(step(m, x.a[None], np.array([arrived]))[0])
+
+
+def lyapunov_step(m, x: SymMatrix) -> SymMatrix:
+    """Open-loop update f0(X) = A X A^T + Q; `step` on a batch of one."""
+    return _single_step(m, x, False)
 
 
 def riccati_step(m, x: SymMatrix) -> SymMatrix:
     """Measurement update f1(X) = A X A^T + Q - A X C^T (C X C^T + R)^(-1) C X A^T.
 
-    The innovation matrix C X C^T + R is symmetric positive definite for
-    admissible models, so it is inverted through a Cholesky factorization.
+    `step` on a batch of one, so single matrices and stacks share numerics.
     """
-    x = _require_psd(x, "X")
-    if x.dim != m.dim_state:
-        raise ValueError(f"X must be {m.dim_state}x{m.dim_state}, got {x.dim}x{x.dim}")
-    axct = m.A @ x.a @ m.C.T
-    innov = m.C @ x.a @ m.C.T + m.R.a
-    innov = (innov + innov.T) / 2.0
-    try:
-        correction = axct @ cho_solve(cho_factor(innov, lower=True), axct.T)
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError(f"innovation matrix is not positive definite: {exc}") from exc
-    return SymMatrix(m.A @ x.a @ m.A.T + m.Q.a - correction)
+    return _single_step(m, x, True)
 
 
 def step(m, p: np.ndarray, bits: np.ndarray) -> np.ndarray:
     """One update of a stack p of shape (k, N, N): f1 where bits is set, else f0.
 
-    The batched form of `lyapunov_step` / `riccati_step` for many chains at
-    once; inputs are trusted to be symmetric PSD and are not checked.
+    The one f0/f1 kernel: chains, word-tree levels and the single-matrix
+    `lyapunov_step` / `riccati_step` all step through it.  Inputs are trusted
+    to be symmetric PSD and are not checked.
 
     * N = 1 with one output uses the closed forms a^2 x + q and
       a^2 x + q - (a c x)^2 / (c^2 x + r), elementwise.
@@ -170,102 +162,6 @@ def random_psd(rng: np.random.Generator, n: int, scale: float = 1.0) -> SymMatri
     """
     g = rng.standard_normal((n, n))
     return SymMatrix(g @ g.T * (scale / n))
-
-
-@dataclass(frozen=True)
-class ContractionEstimate:
-    """Empirical geometric-contraction fit for repeated measurement updates.
-
-    Models ||f1^t(X1) - f1^t(X2)|| <= c1 * exp(-c2 * t) * ||X1 - X2|| on the
-    sampled worst-case pair.  t_table maps an accuracy eps to the first t at
-    which every sampled start has converged to within eps of the fixed point;
-    entries are math.inf when t_max was not enough.  degenerate marks runs
-    where all sampled distances collapsed below resolution, leaving nothing
-    to fit (c2 is math.inf there by convention).
-    """
-
-    c1: float
-    c2: float
-    t_table: dict
-    degenerate: bool
-    # One-step Lipschitz diagnostic of the open-loop map: ||A||^2.
-    lyapunov_lipschitz: float
-
-
-def estimate_contraction(
-    m,
-    trials: int = 20,
-    t_max: int = 60,
-    seed: int = 0,
-    epsilons: tuple = (1e-1, 1e-2, 1e-3, 1e-4, 1e-6),
-) -> ContractionEstimate:
-    """Fit contraction constants from sampled pairs of PSD starting points.
-
-    Draws `trials` pairs at spread scales, tracks d_t = ||f1^t(X1) - f1^t(X2)||,
-    and least-squares fits ln d_t against t on the pair that contracts slowest
-    (largest d_t / d_0 at t_max).  The fit window starts at t = N (state
-    dimension) and is cut at the first non-decreasing or sub-resolution step so
-    the reported rate reflects the genuinely contracting regime.
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rng = np.random.default_rng(seed)
-    n = m.dim_state
-    p_star = solve_dare(m).p_star
-    alpha = float(np.linalg.norm(m.A, 2))
-
-    pairs = []
-    for _ in range(trials):
-        scale = 10.0 ** rng.uniform(0.0, 3.0)
-        pairs.append((random_psd(rng, n, scale), random_psd(rng, n, scale)))
-
-    # Distance tracks per pair, plus worst distance to P* across every start.
-    tracks = np.empty((trials, t_max + 1))
-    worst_to_fixed = np.zeros(t_max + 1)
-    for i, (x1, x2) in enumerate(pairs):
-        a, b = x1, x2
-        for t in range(t_max + 1):
-            tracks[i, t] = spectral_norm(a - b)
-            gap = max(spectral_norm(a - p_star), spectral_norm(b - p_star))
-            worst_to_fixed[t] = max(worst_to_fixed[t], gap)
-            if t < t_max:
-                a, b = riccati_step(m, a), riccati_step(m, b)
-
-    t_table = {}
-    for eps in epsilons:
-        hit = np.nonzero(worst_to_fixed <= eps)[0]
-        t_table[eps] = int(hit[0]) if hit.size else math.inf
-
-    resolution = 1e-14
-    live = tracks[:, 0] > resolution
-    if not np.any(live):
-        return ContractionEstimate(
-            c1=math.nan, c2=math.inf, t_table=t_table, degenerate=True,
-            lyapunov_lipschitz=alpha ** 2,
-        )
-    ratios = np.where(live, tracks[:, t_max] / np.maximum(tracks[:, 0], resolution), -1.0)
-    worst = int(np.argmax(ratios))
-    d = tracks[worst]
-
-    # Fit window: [N, t_max], trimmed to the strictly decreasing, resolvable part.
-    end = t_max
-    for t in range(n + 1, t_max + 1):
-        if d[t] >= d[t - 1] or d[t] < resolution:
-            end = t - 1
-            break
-    ts = np.arange(n, end + 1)
-    if ts.size < 2 or d[n] < resolution:
-        return ContractionEstimate(
-            c1=math.nan, c2=math.inf, t_table=t_table, degenerate=True,
-            lyapunov_lipschitz=alpha ** 2,
-        )
-    slope, intercept = np.polyfit(ts, np.log(d[ts]), 1)
-    c2 = -float(slope)
-    c1 = float(np.exp(intercept) / d[0])
-    return ContractionEstimate(
-        c1=c1, c2=c2, t_table=t_table, degenerate=False,
-        lyapunov_lipschitz=alpha ** 2,
-    )
 
 
 def uniform_bound_kappa(m, trials: int = 50, seed: int = 0) -> float:

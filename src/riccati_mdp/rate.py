@@ -7,9 +7,10 @@ needs in order to carry P* into G.  This module computes it exactly.
 
 The search space is cut down by one observation: if the open-loop orbit
 f0^k(P*) first enters G at step k_G, then words longer than k_G cannot lower
-the minimum, so enumeration over lengths <= k_G suffices.  Enumeration runs
-in order of increasing open-loop count and stops at the first hit, which is
-equivalent to scanning everything (property-tested against brute force).
+the minimum, so enumeration over lengths <= k_G suffices.  The word tree is
+walked one level (word length) at a time on stacked arrays, merging words
+whose values coincide on a rounding grid (property-tested against a brute
+force walk without merging).
 
 Exact finite-time distributions are also computed here: for small horizons
 the chain's law is a finite mixture over arrival paths, and each atom's
@@ -26,8 +27,8 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from .linalg import SymMatrix, as_sym, loewner_leq, spectral_norm
-from .operators import lyapunov_step, norms, random_psd, riccati_step, solve_dare
-from .strings import GammaString, value_key
+from .operators import lyapunov_step, norms, random_psd, riccati_step, solve_dare, step
+from .strings import GammaString, _grid_keys, _next_level
 
 # Hard ceiling on enumeration depth: 2^26 states is the direct-search limit.
 K_CAP_LIMIT = 26
@@ -208,6 +209,8 @@ class VariationalSolution:
     within the enumeration cap (the marker, not a claim about the true
     infimum).  minimizer is a witness word attaining the exponent, with ties
     broken toward the lexicographically smallest bit tuple.
+    strings_examined is the number of open-loop orbit points tested plus the
+    number of word-tree nodes generated (every child, before merging).
     """
 
     exponent: float
@@ -230,12 +233,14 @@ def rate_over_set(m, pred: EventPredicate, k_cap: int = DEFAULT_K_CAP,
     """Minimum open-loop count over words from P* whose value lands in the set.
 
     First finds k_G, the open-loop orbit's entry step into the set (capped at
-    k_cap); the search then covers every word of length <= k_G.  Words are
-    visited in increasing open-loop count with values deduplicated on a
-    rounding grid: words sharing a running value generate identical futures,
-    so each distinct value is expanded once.  The first count with a hit is
-    the exponent, and the witness is the lexicographically smallest hitting
-    word (0 sorts before 1, shorter before longer at equal prefix).
+    k_cap); the search then covers every word of length <= k_G, one length
+    at a time.  Words with one open-loop count whose values share a
+    rounding-grid cell generate identical futures, so each level keeps one
+    node per distinct (count, value), carrying the smallest word that
+    reaches it; nodes whose count exceeds the best hit so far are pruned.
+    The exponent is the smallest count of a hit, and the witness is the
+    lexicographically smallest hitting word with that count (0 sorts before
+    1, shorter before longer at equal prefix).
     """
     if not 0 <= k_cap <= K_CAP_LIMIT:
         raise ValueError(f"k_cap must be in [0, {K_CAP_LIMIT}], got {k_cap}")
@@ -244,59 +249,59 @@ def rate_over_set(m, pred: EventPredicate, k_cap: int = DEFAULT_K_CAP,
 
     examined = 0
     k_gamma = math.inf
-    orbit = p_star
+    orbit = p_star.a[None]
     for k in range(k_cap + 1):
         examined += 1
-        if pred.matches(orbit, p_star):
+        if pred.batch(orbit, p_star)[0]:
             k_gamma = k
             break
-        orbit = lyapunov_step(m, orbit)
+        orbit = step(m, orbit, np.zeros(1, dtype=bool))
     if not math.isfinite(k_gamma):
         return VariationalSolution(exponent=math.inf, minimizer=None,
                                    k_gamma=math.inf, strings_examined=examined)
 
-    # Dynamic program over (length, open-loop count) cells.  A cell maps the
-    # rounding key of a value to (value, lexicographically smallest word).
-    # Count p is built from count p-1 (prepend 0) and count p itself
-    # (prepend 1), so only two rows are alive at a time.
-    prev_row: Optional[list[dict]] = None
-    for p in range(k_gamma + 1):
-        row: list[dict] = [dict() for _ in range(k_gamma + 1)]
-        if p == 0:
-            row[0][value_key(p_star, dedup_tol)] = (p_star, ())
-            examined += 1
-            for length in range(1, k_gamma + 1):
-                for value, bits in row[length - 1].values():
-                    examined += 1
-                    _keep_min(row[length], riccati_step(m, value), (1,) + bits, dedup_tol)
-        else:
-            for length in range(p, k_gamma + 1):
-                for value, bits in prev_row[length - 1].values():
-                    examined += 1
-                    _keep_min(row[length], lyapunov_step(m, value), (0,) + bits, dedup_tol)
-                for value, bits in row[length - 1].values():
-                    examined += 1
-                    _keep_min(row[length], riccati_step(m, value), (1,) + bits, dedup_tol)
+    # A node is a distinct (open-loop count, value) pair carrying the smallest
+    # word code that reaches it.  Codes put the outermost bit in the most
+    # significant place, so at one length integer order is tuple order.
+    level = p_star.a[None]
+    zeros = np.zeros(1, dtype=np.int64)
+    codes = np.zeros(1, dtype=np.int64)
+    examined += 1
+    best = math.inf
+    hits = []
+    for length in range(k_gamma + 1):
+        if length:
+            zeros = np.concatenate([zeros + 1, zeros])
+            codes = np.concatenate([codes, codes | (1 << (length - 1))])
+            children, _keys, first, inverse = _next_level(m, level, dedup_tol,
+                                                          prefix=zeros[:, None])
+            examined += len(children)
+            fold = np.full(len(first), np.iinfo(np.int64).max)
+            np.minimum.at(fold, inverse, codes)
+            # Each node keeps the value of its smallest word, and nodes whose
+            # count already exceeds the best hit cannot lower it.
+            winner = np.nonzero(codes == fold[inverse])[0]
+            keep = winner[zeros[winner] <= best]
+            level, zeros, codes = children[keep], zeros[keep], codes[keep]
+        hit = pred.batch(level, p_star)
+        if hit.any():
+            best = min(best, int(zeros[hit].min()))
+            hits += [(int(z), _code_bits(int(c), length))
+                     for z, c in zip(zeros[hit], codes[hit])]
 
-        hits = [bits for cell in row for value, bits in cell.values()
-                if pred.matches(value, p_star)]
-        if hits:
-            witness = GammaString(bits=min(hits), initial=p_star)
-            return VariationalSolution(exponent=p, minimizer=witness,
-                                       k_gamma=k_gamma, strings_examined=examined)
-        prev_row = row
-
-    raise RuntimeError(
-        "exhausted the enumeration without a hit, yet the orbit point "
-        f"f0^{k_gamma}(P*) was in the set; dedup tolerance {dedup_tol} is too coarse"
-    )
+    if not hits:
+        raise RuntimeError(
+            "exhausted the enumeration without a hit, yet the orbit point "
+            f"f0^{k_gamma}(P*) was in the set; dedup tolerance {dedup_tol} is too coarse"
+        )
+    witness = GammaString(bits=min(bits for z, bits in hits if z == best), initial=p_star)
+    return VariationalSolution(exponent=best, minimizer=witness,
+                               k_gamma=k_gamma, strings_examined=examined)
 
 
-def _keep_min(cell: dict, value: SymMatrix, bits: tuple, dedup_tol: float) -> None:
-    key = value_key(value, dedup_tol)
-    old = cell.get(key)
-    if old is None or bits < old[1]:
-        cell[key] = (value, bits)
+def _code_bits(code: int, length: int) -> tuple:
+    """Bit tuple of a word code, most significant (outermost) bit first."""
+    return tuple((code >> (length - 1 - i)) & 1 for i in range(length))
 
 
 def rate_point(m, x: SymMatrix, match_tol: float, k_cap: int = DEFAULT_K_CAP,
@@ -419,9 +424,10 @@ def finite_dim_exact(m, p0: SymMatrix, times: Iterable[int],
                      dedup_tol: float = 1e-9) -> FiniteDimDistribution:
     """Exact law of (P_{t_1}, ..., P_{t_n}) for increasing recording times.
 
-    Walks t = 0..t_n once, maintaining a merged state per distinct (recorded
-    values, running value) signature with a path-count polynomial attached.
-    Merging is sound because the future depends only on the running value.
+    Walks t = 0..t_n once, one tree level per step, maintaining a merged
+    node per distinct (recorded values, running value) signature with a
+    path-count vector attached.  Merging is sound because the future depends
+    only on the running value.
     """
     times = tuple(int(t) for t in times)
     if not times:
@@ -440,38 +446,37 @@ def finite_dim_exact(m, p0: SymMatrix, times: Iterable[int],
     if p0.dim != m.dim_state:
         raise ValueError(f"P0 must be {m.dim_state}x{m.dim_state}, got {p0.dim}x{p0.dim}")
 
+    # One node per distinct (recorded values, running value) signature, with
+    # counts[i, p] the number of paths reaching node i with p open-loop steps.
     timeset = frozenset(times)
-    recorded = (p0,) if 0 in timeset else ()
-    rec_keys = tuple(value_key(v, dedup_tol) for v in recorded)
-    # state: signature -> [recorded values, recorded keys, running value, counts]
-    states = {rec_keys + (value_key(p0, dedup_tol),): [recorded, rec_keys, p0, {0: 1}]}
+    level = p0.a[None]
+    rec_keys = _grid_keys(level, dedup_tol)
+    if 0 in timeset:
+        recorded = level[:, None]
+    else:
+        recorded, rec_keys = np.empty((1, 0) + level.shape[1:]), rec_keys[:, :0]
+    counts = np.ones((1, 1), dtype=np.int64)
 
-    for t in range(horizon):
-        next_states: dict = {}
-        for rec_vals, rec_keys, current, counts in states.values():
-            for bit in (0, 1):
-                nxt = riccati_step(m, current) if bit else lyapunov_step(m, current)
-                d_open = 0 if bit else 1
-                n_vals, n_keys = rec_vals, rec_keys
-                if (t + 1) in timeset:
-                    n_vals = rec_vals + (nxt,)
-                    n_keys = rec_keys + (value_key(nxt, dedup_tol),)
-                signature = n_keys + (value_key(nxt, dedup_tol),)
-                entry = next_states.get(signature)
-                if entry is None:
-                    next_states[signature] = [
-                        n_vals, n_keys, nxt,
-                        {p + d_open: c for p, c in counts.items()},
-                    ]
-                else:
-                    tallies = entry[3]
-                    for p, c in counts.items():
-                        tallies[p + d_open] = tallies.get(p + d_open, 0) + c
-        states = next_states
+    for t in range(1, horizon + 1):
+        children, keys, first, inverse = _next_level(
+            m, level, dedup_tol, prefix=np.concatenate([rec_keys, rec_keys]))
+        # f0 children (the first half) add one open-loop step to every path.
+        child_counts = np.concatenate([np.pad(counts, ((0, 0), (1, 0))),
+                                       np.pad(counts, ((0, 0), (0, 1)))])
+        counts = np.zeros((len(first), t + 1), dtype=np.int64)
+        np.add.at(counts, inverse, child_counts)
+        level = children[first]
+        recorded = np.concatenate([recorded, recorded])[first]
+        if t in timeset:
+            recorded = np.concatenate([recorded, level[:, None]], axis=1)
+            rec_keys = keys[first]
+        else:
+            rec_keys = keys[first, :rec_keys.shape[1]]
 
     atoms = tuple(
-        Atom(values=rec_vals, horizon=horizon, multiplicity=dict(counts))
-        for rec_vals, _keys, _cur, counts in states.values()
+        Atom(values=tuple(SymMatrix(v) for v in rec), horizon=horizon,
+             multiplicity={p: int(c) for p, c in enumerate(row) if c})
+        for rec, row in zip(recorded, counts)
     )
     total_paths = sum(c for a in atoms for c in a.multiplicity.values())
     if total_paths != 2**horizon:
@@ -479,18 +484,3 @@ def finite_dim_exact(m, p0: SymMatrix, times: Iterable[int],
             f"path accounting is off: {total_paths} paths for horizon {horizon}"
         )
     return FiniteDimDistribution(times=times, horizon=horizon, atoms=atoms)
-
-
-def min_decay_exponent(terms: Iterable[float]) -> float:
-    """Exponent of a sum of decaying terms: the smallest exponent dominates.
-
-    math.inf entries stand for terms that vanish identically and never lower
-    the minimum; an empty collection is an error because an empty sum has no
-    decay order.
-    """
-    terms = [float(t) for t in terms]
-    if not terms:
-        raise ValueError("need at least one exponent")
-    if any(math.isnan(t) for t in terms):
-        raise ValueError("exponents must not be NaN")
-    return min(terms)

@@ -17,18 +17,15 @@ the empty word prints as "".
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
 from .linalg import SymMatrix, as_sym, loewner_leq, spectral_norm
-from .operators import lyapunov_step, riccati_step
+from .operators import lyapunov_step, norms, riccati_step, solve_dare, step
 
-# Full enumeration is 2^length; keep direct generators at sane sizes.
-MAX_ENUM_LENGTH = 30
+# The word tree doubles per level; keep the support walk at a sane depth.
 MAX_SUPPORT_LENGTH = 22
 
 _RUN_TOKEN = re.compile(r"^([01])(?:\^([1-9][0-9]*))?$")
@@ -94,13 +91,6 @@ def pi_count(r: GammaString) -> int:
     return len(r.bits) - sum(r.bits)
 
 
-def truncate(r: GammaString, s: int) -> GammaString:
-    """Keep the s outermost (leftmost) bits."""
-    if not 0 <= s <= len(r.bits):
-        raise ValueError(f"cannot keep {s} bits of a word of length {len(r.bits)}")
-    return GammaString(bits=r.bits[:s], initial=r.initial)
-
-
 @dataclass(frozen=True)
 class StringValue:
     value: SymMatrix
@@ -116,39 +106,53 @@ def eval_string(m, r: GammaString) -> StringValue:
     return StringValue(value=x, pi=pi_count(r), source=r)
 
 
-def enumerate_strings(initial: SymMatrix, length: int) -> Iterator[GammaString]:
-    """All 2^length words of exactly this length, lexicographic, 0 before 1."""
-    if length < 0:
-        raise ValueError(f"length must be nonnegative, got {length}")
-    if length > MAX_ENUM_LENGTH:
-        raise ValueError(
-            f"refusing to enumerate 2^{length} words (limit 2^{MAX_ENUM_LENGTH})"
-        )
-    initial = as_sym(initial)
-    for code in range(2**length):
-        bits = tuple((code >> (length - 1 - k)) & 1 for k in range(length))
-        yield GammaString(bits=bits, initial=initial)
-
-
-def value_key(x: SymMatrix, dedup_tol: float = 1e-9) -> tuple:
-    """Rounding key used to deduplicate near-identical covariance values.
+def _grid_keys(values: np.ndarray, dedup_tol: float) -> np.ndarray:
+    """Rounding keys of a stack (k, N, N), one int64 row of N*N entries each.
 
     Entries are snapped to a grid of pitch dedup_tol * (1 + ||X||), so two
     values sharing a key agree entrywise to within one grid cell.
     """
-    a = x.a
-    pitch = dedup_tol * (1.0 + spectral_norm(x))
-    return tuple(np.round(a / pitch).astype(np.int64).ravel().tolist())
+    pitch = dedup_tol * (1.0 + norms(values))
+    return np.round(values / pitch[:, None, None]).astype(np.int64).reshape(len(values), -1)
+
+
+def value_key(x: SymMatrix, dedup_tol: float = 1e-9) -> tuple:
+    """Rounding key of one value: `_grid_keys` on a batch of one, as a tuple."""
+    return tuple(_grid_keys(as_sym(x).a[None], dedup_tol)[0].tolist())
+
+
+def _next_level(m, values: np.ndarray, dedup_tol: float, prefix=None):
+    """One level down the word tree, with children merged on the rounding grid.
+
+    The children of a level (k, N, N) are its f0 images followed by its f1
+    images, so child i < k extends node i by a 0 bit and child k + i by a 1
+    bit.  Children are grouped by their `_grid_keys`, with optional extra key
+    columns `prefix` (one row per child) in front.  Returns (children,
+    keys, first, inverse): children[first] holds one representative per
+    group, in order of first occurrence, and inverse[i] is the group of
+    child i, ready for `np.<ufunc>.at` folds of per-child payloads.
+    Merging is sound because a word's future depends only on its value.
+    """
+    k = len(values)
+    children = step(m, np.concatenate([values, values]), np.arange(2 * k) >= k)
+    keys = _grid_keys(children, dedup_tol)
+    if prefix is not None:
+        keys = np.concatenate([prefix, keys], axis=1)
+    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return children, keys, first[order], rank[inverse.reshape(-1)]
 
 
 def support_set(m, max_len: int, dedup_tol: float = 1e-9) -> list[SymMatrix]:
     """Distinct word values reachable from the fixed point in <= max_len steps.
 
-    Walks the value tree level by level, expanding each distinct value once;
-    since a word's value depends only on the running covariance, values that
-    collide on the rounding grid generate identical subtrees and are merged.
-    The fixed point itself (the empty word) is always included, and the result
-    preserves first-discovery order, which is deterministic.
+    Walks the value tree level by level (`_next_level`), expanding each
+    distinct value once: values that collide on the rounding grid with one
+    seen at this or an earlier level generate identical subtrees and are
+    dropped.  The fixed point itself (the empty word) is always included, and
+    the result preserves first-discovery order, which is deterministic.
     """
     if max_len < 0:
         raise ValueError(f"max_len must be nonnegative, got {max_len}")
@@ -156,23 +160,18 @@ def support_set(m, max_len: int, dedup_tol: float = 1e-9) -> list[SymMatrix]:
         raise ValueError(
             f"max_len {max_len} exceeds the enumeration limit {MAX_SUPPORT_LENGTH}"
         )
-    from .operators import solve_dare
-
-    p_star = solve_dare(m).p_star
-    seen: dict[tuple, SymMatrix] = {value_key(p_star, dedup_tol): p_star}
-    frontier = [p_star]
+    level = solve_dare(m).p_star.a[None]
+    seen = {_grid_keys(level, dedup_tol)[0].tobytes()}
+    found = [level]
     for _ in range(max_len):
-        next_frontier = []
-        for x in frontier:
-            for image in (lyapunov_step(m, x), riccati_step(m, x)):
-                key = value_key(image, dedup_tol)
-                if key not in seen:
-                    seen[key] = image
-                    next_frontier.append(image)
-        frontier = next_frontier
-        if not frontier:
+        children, keys, first, _ = _next_level(m, level, dedup_tol)
+        fresh = [i for i in first if keys[i].tobytes() not in seen]
+        if not fresh:
             break
-    return list(seen.values())
+        seen.update(keys[i].tobytes() for i in fresh)
+        level = children[fresh]
+        found.append(level)
+    return [SymMatrix(v) for v in np.concatenate(found)]
 
 
 def invariant_upper_scale(m, tol_doublings: int = 60) -> float:

@@ -22,7 +22,6 @@ F0_ORBIT_SCALAR = (
     31.0 + 16.0 * SQRT2,
 )
 F1_OF_F0_SCALAR = 2.0 + SQRT2 / 2.0
-CONTRACTION_RATE_SCALAR = -math.log(3.0 - 2.0 * SQRT2)
 
 # Planar demo model, restated.
 A_PLANAR = [[1.2, 0.5], [0.0, 0.8]]
@@ -116,6 +115,22 @@ def value_tree(f0, f1, start, depth):
         v = levels[-1]
         levels.append(np.concatenate([f0(v), f1(v)], axis=0))
     return levels
+
+
+def lightest_hitting_word(levels, hit):
+    """(fewest zero bits, lexicographically smallest word with that many)
+    over every word in value_tree `levels` whose value satisfies
+    hit(stack) -> mask; None when no word hits.  The word of entry i at
+    level L, outermost map first, is the L binary digits of i, most
+    significant first."""
+    best = None
+    for length, vals in enumerate(levels):
+        for i in np.nonzero(hit(vals))[0]:
+            word = tuple((int(i) >> (length - 1 - k)) & 1 for k in range(length))
+            cand = (length - sum(word), word)
+            if best is None or cand < best:
+                best = cand
+    return best
 
 
 def popcounts(n_codes):

@@ -99,6 +99,17 @@ class TestSimulate:
         cfg = write_config(tmp_path, simulate={"gamma": 1.7, "horizon": 10})
         assert cli.main(["simulate", "--config", cfg]) == 2
 
+    def test_overflow_exits_three(self, tmp_path, capsys):
+        # With (almost) no arrivals the planar path grows like 1.44^t and
+        # overflows near step 1950: a numeric failure, not a config problem.
+        cfg = write_config(tmp_path, model=PLANAR_MODEL,
+                           simulate={"gamma": 1e-9, "horizon": 2000, "seed": 1})
+        out = tmp_path / "sim"
+        assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "non-finite at step" in err and "config error" not in err
+        assert not (out / "trajectory.csv").exists()
+
 
 class TestInvariant:
     def test_writes_samples(self, tmp_path, capsys):
@@ -171,6 +182,15 @@ class TestRate:
         payload = json.loads(capsys.readouterr().out)
         assert payload["verified"] is True
         assert payload["exponent"] == 4
+
+    def test_verify_rejected_off_the_fast_path(self, tmp_path, capsys):
+        # The enumeration path has nothing to cross-check against, so the
+        # flag is a configuration error rather than an unchecked "verified".
+        cfg = write_config(tmp_path, model=PLANAR_MODEL, rate={"predicate": "ballc:6.0"})
+        assert cli.main(["rate", "--config", cfg, "--verify"]) == 2
+        captured = capsys.readouterr()
+        assert "orbit fast path" in captured.err
+        assert captured.out == ""
 
     def test_planar_uses_enumeration(self, tmp_path, capsys):
         cfg = write_config(tmp_path, model=PLANAR_MODEL, rate={"predicate": "ballc:6.0"})

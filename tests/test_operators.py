@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from riccati_mdp import (
     SystemModel,
     SymMatrix,
-    estimate_contraction,
     loewner_leq,
     lyapunov_step,
     random_psd,
@@ -170,12 +169,6 @@ class TestOrderProperties:
 
 
 class TestContraction:
-    def test_scalar_rate_near_derivative_rate(self, scalar_model):
-        est = estimate_contraction(scalar_model, seed=3)
-        assert not est.degenerate
-        assert est.c1 > 0.0
-        assert abs(est.c2 - oracles.CONTRACTION_RATE_SCALAR) < 0.25
-
     def test_scalar_one_step_ratio_near_fixed_point(self, scalar_model, scalar_pstar):
         # |f1'(p*)| = 3 - 2 sqrt(2) ~ 0.172; at distance < 0.5 the worst
         # observed one-step ratio is ~0.38, so 0.45 leaves real margin.
@@ -200,24 +193,6 @@ class TestContraction:
             d0 = spectral_norm(x - ps)
             cur = riccati_power(model, x, 40)
             assert spectral_norm(cur - ps) <= 1e-9 * (1.0 + d0)
-
-    def test_t_table_monotone(self, planar):
-        est = estimate_contraction(planar, seed=3)
-        eps_sorted = sorted(est.t_table, reverse=True)
-        ts = [est.t_table[e] for e in eps_sorted]
-        assert all(a <= b for a, b in zip(ts, ts[1:]))
-
-    def test_deterministic(self, scalar_model):
-        a = estimate_contraction(scalar_model, seed=9)
-        b = estimate_contraction(scalar_model, seed=9)
-        assert a.c1 == b.c1 and a.c2 == b.c2 and a.t_table == b.t_table
-
-    def test_lyapunov_lipschitz_is_squared_norm_of_a(self, scalar_model, planar):
-        assert estimate_contraction(scalar_model, seed=0).lyapunov_lipschitz == \
-            pytest.approx(2.0, rel=1e-12)
-        a2 = np.linalg.norm(planar.A, 2) ** 2
-        assert estimate_contraction(planar, seed=0).lyapunov_lipschitz == \
-            pytest.approx(a2, rel=1e-12)
 
 
 class TestUniformBound:

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from riccati_mdp import (
     Atom,
     EventPredicate,
     GammaString,
     SymMatrix,
+    SystemModel,
     finite_dim_exact,
     iota,
     iota_plus,
@@ -15,12 +18,13 @@ from riccati_mdp import (
     loewner_leq,
     lsc_check,
     lyapunov_step,
-    min_decay_exponent,
     poly_probability,
     rate_over_set,
     rate_point,
     riccati_step,
+    solve_dare,
     spectral_norm,
+    validate_system,
 )
 
 import oracles
@@ -187,6 +191,32 @@ class TestRateOverSet:
         assert pred.matches(val, planar_pstar)
         assert sol.minimizer.bits.count(0) == sol.exponent
 
+    def test_witness_is_smallest_of_tied_words(self, scalar_model):
+        # The words (1,0), (1,0,1) and (1,0,1,1) share one value (a trailing
+        # 1 fixes P*) and one drop; the orbit enters the far set at step 4.
+        near = oracles.F1_OF_F0_SCALAR
+        far = oracles.F0_ORBIT_SCALAR[3] - 1e-6
+        pred = EventPredicate.custom(
+            lambda x: abs(x.item() - near) <= 1e-6 or x.item() >= far)
+        sol = rate_over_set(scalar_model, pred)
+        assert (sol.exponent, sol.k_gamma) == (1, 4)
+        assert sol.minimizer.bits == (1, 0)
+
+    def test_drop_counts_are_not_merged(self):
+        # With A = 0.05 the orbit distances d_k saturate: d_4 - d_3 is about
+        # 2e-11, below the 1e-9 rounding grid, so 0^4 and 0^3,1 share a grid
+        # cell.  Only 0^4 reaches a radius between d_3 and d_4, so nodes
+        # with different drop counts must stay apart.
+        m = SystemModel(A=0.05, C=1.0, Q=1.0, R=1.0, P0=1.0)
+        p_star = solve_dare(m).p_star
+        orbit = [p_star]
+        for _ in range(4):
+            orbit.append(lyapunov_step(m, orbit[-1]))
+        d3, d4 = (spectral_norm(x - p_star) for x in orbit[3:])
+        assert 0.0 < d4 - d3 < 1e-9
+        sol = rate_over_set(m, EventPredicate.ball_complement((d3 + d4) / 2.0))
+        assert (sol.exponent, sol.minimizer.to_text()) == (4, "0^4")
+
     def test_unreachable_event_is_inf(self, scalar_model):
         sol = rate_over_set(scalar_model, EventPredicate.custom(lambda x: False),
                             k_cap=6)
@@ -204,6 +234,53 @@ class TestRateOverSet:
         sol = rate_over_set(scalar_model, EventPredicate.norm_above(40.0))
         assert sol.exponent == 4
         assert sol.minimizer.to_text() == "0^4"
+
+
+def _random_model(rng, n, outputs):
+    """Model with PD noise and Gaussian A, C; admissibility is checked by the caller."""
+    g, h = rng.standard_normal((n, n)), rng.standard_normal((outputs, outputs))
+    return SystemModel(A=rng.standard_normal((n, n)) * rng.uniform(0.3, 1.5),
+                       C=rng.standard_normal((outputs, n)),
+                       Q=g @ g.T + 0.1 * np.eye(n), R=h @ h.T + 0.5 * np.eye(outputs),
+                       P0=np.eye(n))
+
+
+class TestRateAgainstBruteForce:
+    """rate_over_set against every word of the unmerged value tree.
+
+    Up to length k_Gamma (the walk's search space) exponent and witness must
+    match for every admissible model.  The cut at k_Gamma rests on the
+    one-sided geometry that `is_class_A` screens for: on models that pass the
+    screen no word of length k_Gamma + 1 or k_Gamma + 2 may do better, while
+    on models that fail it a longer word with fewer drops can hit (about 2%
+    of these random models), so there the deeper check is not asserted.
+    """
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 3), outputs=st.integers(1, 2), k=st.integers(1, 5),
+           frac=st.floats(0.1, 0.9), seed=st.integers(0, 2**32 - 1))
+    def test_matches_unmerged_tree(self, n, outputs, k, frac, seed):
+        m = _random_model(np.random.default_rng(seed), n, outputs)
+        assume(validate_system(m).passed)
+        p_star = solve_dare(m).p_star.a
+        f0, f1 = oracles.make_batched_maps(m.A, m.C, m.Q.a, m.R.a)
+        orbit = [p_star]
+        for _ in range(k):
+            orbit.append(f0(orbit[-1]))
+        dists = oracles.spectral_norms(np.stack(orbit) - p_star)
+        # The radius sits inside the band where the orbit enters at step k;
+        # the band must span many rounding-grid cells to be resolvable.
+        assume(dists[k] - dists[k - 1] > 1e-6 * dists[k])
+        radius = dists[k - 1] + frac * (dists[k] - dists[k - 1])
+
+        sol = rate_over_set(m, EventPredicate.ball_complement(radius))
+        assert sol.k_gamma == k
+        levels = oracles.value_tree(f0, f1, p_star, k + 2)
+        hit = lambda vals: oracles.spectral_norms(vals - p_star) >= radius
+        got = (sol.exponent, sol.minimizer.bits)
+        assert got == oracles.lightest_hitting_word(levels[:k + 1], hit)
+        if is_class_A(m).passed:
+            assert got == oracles.lightest_hitting_word(levels, hit)
 
 
 class TestRatePoint:
@@ -300,6 +377,27 @@ class TestFiniteDim:
             lambda vals: abs(vals[-1].item() - scalar_pstar.item()) >= m1)
         assert exponent == 4
 
+    @pytest.mark.parametrize("times", [(1,), (4,), (10,), (3, 7), (6, 10)])
+    def test_planar_event_probability_matches_word_sum(self, planar, times):
+        # Word index i at level t takes bit j (LSB first) as the arrival at
+        # time j, so its state at an earlier time s is entry i mod 2^s there.
+        f0, f1 = oracles.make_batched_maps(oracles.A_PLANAR, oracles.C_PLANAR,
+                                           oracles.Q_PLANAR, oracles.R_PLANAR)
+        levels = oracles.value_tree(f0, f1, planar.P0.a, times[-1])
+        idx = np.arange(2 ** times[-1])
+        drops = times[-1] - oracles.popcounts(len(idx))
+        first = oracles.spectral_norms(levels[times[0]])[idx % 2 ** times[0]]
+        last = oracles.spectral_norms(levels[times[-1]])
+        dist = finite_dim_exact(planar, planar.P0, times)
+        for thr in (4.0, 12.0, 40.0):
+            # No value sits on a threshold, so round-off cannot flip a test.
+            assert np.min(np.abs(np.concatenate([first, last]) - thr)) > 1e-6 * thr
+            ref_hit = (first > thr) & (last > thr)
+            event = lambda vals, thr=thr: min(spectral_norm(v) for v in vals) > thr
+            for g in (0.3, 0.8, 0.95):
+                ref = float(np.sum(ref_hit * (1 - g) ** drops * g ** (times[-1] - drops)))
+                assert dist.event_probability(event, g) == pytest.approx(ref, abs=1e-12)
+
     def test_atoms_partition_all_paths(self, scalar_model, scalar_pstar):
         # Both update maps are injective here, so the 2^10 paths stay
         # distinguishable: one atom per path, each holding a single count.
@@ -345,12 +443,6 @@ class TestPolyHelpers:
     def test_atom_ell_is_min_power(self, scalar_pstar):
         atom = Atom(values=(scalar_pstar,), horizon=5, multiplicity={3: 2, 2: 1, 5: 4})
         assert atom.ell == 2
-
-    def test_min_decay_exponent(self):
-        assert min_decay_exponent([4, 7, 5]) == 4
-        assert min_decay_exponent([math.inf, 3]) == 3
-        with pytest.raises(ValueError):
-            min_decay_exponent([])
 
     def test_impossible_event_has_inf_exponent(self, scalar_model, scalar_pstar):
         dist = finite_dim_exact(scalar_model, scalar_pstar, [3])

@@ -6,7 +6,6 @@ import pytest
 from riccati_mdp import (
     GammaString,
     SymMatrix,
-    enumerate_strings,
     eval_string,
     format_run_length,
     invariant_upper_scale,
@@ -17,7 +16,6 @@ from riccati_mdp import (
     spectral_norm,
     string_upper_bound,
     support_set,
-    truncate,
     value_key,
 )
 
@@ -62,16 +60,6 @@ class TestGammaString:
         assert r.bits == (0, 0, 1, 0)
         assert r.to_text() == "0^2,1,0"
 
-    def test_truncate_keeps_outermost_prefix(self):
-        # Truncation keeps the leftmost s bits, the maps applied last.
-        r = GammaString(bits=(1, 0, 1, 1, 0), initial=SymMatrix(1.0))
-        t = truncate(r, 3)
-        assert t.bits == (1, 0, 1)
-        assert truncate(r, 0).bits == ()
-        assert truncate(r, 5).bits == r.bits
-        with pytest.raises(ValueError):
-            truncate(r, 6)
-
 
 class TestEvalString:
     def test_matches_scalar_closed_forms(self, scalar_model):
@@ -108,24 +96,6 @@ class TestEvalString:
         sv = eval_string(scalar_model, r)
         assert sv.source == r
         assert sv.pi == 2
-
-
-class TestEnumerate:
-    def test_counts_and_order(self):
-        words = list(enumerate_strings(SymMatrix(1.0), 3))
-        assert len(words) == 8
-        assert words[0].bits == (0, 0, 0)
-        assert words[-1].bits == (1, 1, 1)
-        seen = [w.bits for w in words]
-        assert seen == sorted(seen)
-
-    def test_zero_length(self):
-        words = list(enumerate_strings(SymMatrix(1.0), 0))
-        assert len(words) == 1 and words[0].bits == ()
-
-    def test_rejects_huge_length(self):
-        with pytest.raises(ValueError):
-            list(enumerate_strings(SymMatrix(1.0), 40))
 
 
 class TestValueKey:
