@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -33,7 +32,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
-THREADS_ENV_VAR = "RICCATI_MDP_THREADS"
 STUDY_SEED = 2024
 STUDY_GRID = (0.55, 0.60, 0.65, 0.70, 0.75, 0.80)
 STUDY_GRID_FULL = STUDY_GRID + (0.85, 0.90, 0.95)
@@ -104,24 +102,6 @@ def _model_from_config(config: dict, check: bool = True) -> SystemModel:
     return model
 
 
-def _resolve_threads(args) -> int:
-    if getattr(args, "threads", None) is not None:
-        value = args.threads
-    else:
-        raw = os.environ.get(THREADS_ENV_VAR)
-        if raw is None:
-            return 1
-        try:
-            value = int(raw)
-        except ValueError as exc:
-            raise ConfigError(
-                f"{THREADS_ENV_VAR} must be an integer, got {raw!r}"
-            ) from exc
-    if value < 1:
-        raise ConfigError(f"threads must be >= 1, got {value}")
-    return value
-
-
 def _resolve_seed(args, block: dict, default: int = 0) -> int:
     if getattr(args, "seed", None) is not None:
         return args.seed
@@ -186,13 +166,12 @@ def cmd_invariant(args) -> int:
     n_samples = int(_require(block, "n_samples", "invariant"))
     burn_in = int(_require(block, "burn_in", "invariant"))
     seed = _resolve_seed(args, block)
-    threads = _resolve_threads(args)
     try:
         cfg = SimulationConfig(gamma_bar=gamma, n_samples=n_samples,
                                burn_in=burn_in, seed=seed)
     except ValueError as exc:
         raise ConfigError(f"invariant: {exc}") from exc
-    dist = sample_invariant(model, cfg, threads=threads)
+    dist = sample_invariant(model, cfg)
     dist.require_finite()
 
     out = _out_dir(args)
@@ -286,11 +265,10 @@ def cmd_exponent(args) -> int:
     n_samples = int(_require(block, "n_samples", "exponent"))
     burn_in = int(_require(block, "burn_in", "exponent"))
     seed = _resolve_seed(args, block)
-    threads = _resolve_threads(args)
 
     try:
         fit = decay_exponent_fit(model, pred, grid, n_samples=n_samples,
-                                 burn_in=burn_in, seed=seed, threads=threads)
+                                 burn_in=burn_in, seed=seed)
     except ValueError as exc:
         raise ConfigError(f"exponent: {exc}") from exc
 
@@ -307,14 +285,13 @@ def cmd_reproduce_scalar(args) -> int:
     model = scalar_study_model()
     grid = STUDY_GRID_FULL if args.full else STUDY_GRID
     seed = args.seed if args.seed is not None else STUDY_SEED
-    threads = _resolve_threads(args)
 
     p_star = solve_dare(model).p_star
     radius = 40.0 - p_star.item()
     pred = EventPredicate.ball_complement(radius)
 
     fit = decay_exponent_fit(model, pred, grid, n_samples=STUDY_N_SAMPLES,
-                             burn_in=STUDY_BURN_IN, seed=seed, threads=threads)
+                             burn_in=STUDY_BURN_IN, seed=seed)
     exact = iota(model, radius, p_star=p_star)
 
     out = _out_dir(args)
@@ -364,22 +341,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, config_required=True, threads=False):
+    def add_common(p, config_required=True):
         if config_required:
             p.add_argument("--config", required=True, help="JSON configuration file")
         p.add_argument("--out", default=None, help="directory for output artifacts")
         p.add_argument("--seed", type=int, default=None,
                        help="override the seed from the config")
-        if threads:
-            p.add_argument("--threads", type=int, default=None,
-                           help=f"worker threads (default ${THREADS_ENV_VAR} or 1)")
 
     p = sub.add_parser("simulate", help="one covariance path to CSV")
     add_common(p)
     p.set_defaults(handler=cmd_simulate)
 
     p = sub.add_parser("invariant", help="sample the long-run covariance law")
-    add_common(p, threads=True)
+    add_common(p)
     p.set_defaults(handler=cmd_invariant)
 
     p = sub.add_parser("rate", help="exact decay exponent of an event")
@@ -390,12 +364,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_rate)
 
     p = sub.add_parser("exponent", help="Monte-Carlo decay-exponent fit")
-    add_common(p, threads=True)
+    add_common(p)
     p.set_defaults(handler=cmd_exponent)
 
     p = sub.add_parser("reproduce-scalar",
                        help="rerun the scalar rare-event study end to end")
-    add_common(p, config_required=False, threads=True)
+    add_common(p, config_required=False)
     p.add_argument("--full", action="store_true",
                    help="extend the arrival-rate grid to 0.95")
     p.set_defaults(handler=cmd_reproduce_scalar)

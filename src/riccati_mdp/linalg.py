@@ -99,9 +99,16 @@ def as_sym(x) -> SymMatrix:
     return SymMatrix(x)
 
 
+def norms(p: np.ndarray) -> np.ndarray:
+    """2-norms (largest absolute eigenvalues) of an exactly symmetric stack (k, N, N)."""
+    if p.shape[-1] == 1:
+        return np.abs(p[:, 0, 0])
+    return np.max(np.abs(np.linalg.eigvalsh(p)), axis=-1)
+
+
 def spectral_norm(x: SymMatrix) -> float:
-    """Largest absolute eigenvalue, which is the induced 2-norm here."""
-    return float(np.max(np.abs(np.linalg.eigvalsh(as_sym(x).a))))
+    """Spectral norm of one matrix: `norms` on a batch of one."""
+    return float(norms(as_sym(x).a[None])[0])
 
 
 def loewner_leq(x: SymMatrix, y: SymMatrix, tol: float = DEFAULT_ORDER_TOL) -> bool:

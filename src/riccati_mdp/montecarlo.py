@@ -3,11 +3,10 @@
 Reproducibility protocol: one sampling run draws its arrival bits from a
 counter-based Philox generator keyed by the run's seed tuple (Salmon, Moraes,
 Dror and Shaw, "Parallel random numbers: as easy as 1, 2, 3", SC'11).  Chain
-i reads row i of an (n_chains, steps) block of uniforms, and advancing the
-counter reaches any row directly, so any chain subset can be reproduced in
-isolation and results are bit-identical regardless of batching, thread count,
-or evaluation order.  A sweep over arrival rates derives per-gridpoint seed
-tuples as (master seed, gridpoint index).
+i reads row i of an (n_chains, steps) block of uniforms, whatever the chain
+count, so the first chains of a large run are those of a small run with the
+same seed.  A sweep over arrival rates derives per-gridpoint seed tuples as
+(master seed, gridpoint index).
 
 Chains advance in lockstep as a stacked array of covariances through the
 batched kernel `operators.step`; that keeps the per-step cost at a handful of
@@ -19,14 +18,13 @@ RuntimeError when any chain is non-finite.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .linalg import SymMatrix, as_sym, spectral_norm
-from .operators import norms, solve_dare, step, uniform_bound_kappa
+from .linalg import SymMatrix, as_sym, norms, spectral_norm
+from .operators import solve_dare, step, uniform_bound_kappa
 from .rate import EventPredicate
 
 # Uniforms drawn per chunk when building arrival bits; bounds the float64
@@ -71,22 +69,16 @@ def _as_seed_tuple(seed) -> tuple:
     return tuple(int(s) for s in seed)
 
 
-def _arrival_bits(seed_tuple: tuple, gamma_bar: float, lo: int, hi: int,
+def _arrival_bits(seed_tuple: tuple, gamma_bar: float, n: int,
                   steps: int) -> np.ndarray:
-    """Arrival bits of chains lo..hi-1, shape (hi - lo, steps).
+    """Arrival bits of n chains, shape (n, steps).
 
-    Rows lo..hi-1 of the run's (n_chains, steps) uniform block, thresholded
-    at gamma_bar.  Each Philox counter value yields four 64-bit draws, one
-    per double, so row lo starts after advancing the counter by
-    (lo * steps) // 4 and discarding the remaining (lo * steps) % 4 draws.
+    The run's (n, steps) uniform block, drawn row by row from one Philox
+    stream keyed by the seed tuple and thresholded at gamma_bar.
     """
     key = np.random.SeedSequence(seed_tuple).generate_state(2, np.uint64)
-    bitgen = np.random.Philox(key=key)
-    start = int(lo) * int(steps)
-    bitgen.advance(start // 4)
-    bitgen.random_raw(start % 4)
-    rng = np.random.Generator(bitgen)
-    bits = np.empty((hi - lo, steps), dtype=bool)
+    rng = np.random.Generator(np.random.Philox(key=key))
+    bits = np.empty((n, steps), dtype=bool)
     flat = bits.reshape(-1)
     for i in range(0, flat.size, _DRAW_CHUNK):
         chunk = flat[i:i + _DRAW_CHUNK]
@@ -130,7 +122,7 @@ def simulate_rre(m, cfg: SimulationConfig,
     p0 = _resolve_p0(m, cfg)
     t_max = cfg.horizon
     if arrivals is None:
-        bits = _arrival_bits(cfg.seed_tuple(), cfg.gamma_bar, 0, 1, t_max)[0].astype(int)
+        bits = _arrival_bits(cfg.seed_tuple(), cfg.gamma_bar, 1, t_max)[0].astype(int)
     else:
         bits = np.asarray(list(arrivals), dtype=int)
         if bits.shape != (t_max,):
@@ -187,33 +179,19 @@ class EmpiricalDistribution:
             )
 
 
-def sample_invariant(m, cfg: SimulationConfig, threads: int = 1) -> EmpiricalDistribution:
+def sample_invariant(m, cfg: SimulationConfig) -> EmpiricalDistribution:
     """Draw n_samples chains for burn_in steps each; keep the final covariances.
 
-    Chain i's bits are row i of the run's uniform block, so any contiguous
-    block of chains can be advanced independently; `threads` splits the
-    chain index range across a thread pool and reassembles in index order,
-    leaving the samples identical to the single-threaded run.
+    Chain i's bits are row i of the run's uniform block; the whole stack of
+    chains advances in lockstep through `operators.step`.
     """
     p0 = _resolve_p0(m, cfg)
     n, burn = cfg.n_samples, cfg.burn_in
     seed_tuple = cfg.seed_tuple()
-
-    def run_block(lo: int, hi: int) -> np.ndarray:
-        bits = _arrival_bits(seed_tuple, cfg.gamma_bar, lo, hi, burn)
-        p = np.broadcast_to(p0.a, (hi - lo, p0.dim, p0.dim)).copy()
-        for t in range(burn):
-            p = step(m, p, bits[:, t])
-        return p
-
-    threads = max(1, int(threads))
-    if threads == 1 or n < 2 * threads:
-        samples = run_block(0, n)
-    else:
-        bounds = np.linspace(0, n, threads + 1, dtype=int)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            blocks = list(pool.map(lambda ab: run_block(*ab), zip(bounds[:-1], bounds[1:])))
-        samples = np.concatenate(blocks, axis=0)
+    bits = _arrival_bits(seed_tuple, cfg.gamma_bar, n, burn)
+    samples = np.broadcast_to(p0.a, (n, p0.dim, p0.dim)).copy()
+    for t in range(burn):
+        samples = step(m, samples, bits[:, t])
     samples.flags.writeable = False
     return EmpiricalDistribution(samples=samples, gamma_bar=cfg.gamma_bar,
                                  burn_in=burn, seed=seed_tuple)
@@ -277,7 +255,7 @@ class ExponentFit:
 
 def decay_exponent_fit(m, pred: EventPredicate, gamma_grid: Sequence[float],
                        n_samples: int, burn_in: int, seed: int | tuple,
-                       threads: int = 1, check_burn_in: bool = True,
+                       check_burn_in: bool = True,
                        p0: Optional[SymMatrix] = None) -> ExponentFit:
     """Estimate the decay exponent of a rare event across an arrival-rate grid.
 
@@ -300,7 +278,7 @@ def decay_exponent_fit(m, pred: EventPredicate, gamma_grid: Sequence[float],
     for j, g in enumerate(grid):
         cfg = SimulationConfig(gamma_bar=g, n_samples=n_samples, burn_in=burn_in,
                                seed=seed_tuple + (j,), p0=p0)
-        dist = sample_invariant(m, cfg, threads=threads)
+        dist = sample_invariant(m, cfg)
         p_hat, k = event_probability(dist, pred, p_star)
         probs.append(p_hat)
         hits.append(k)
@@ -323,7 +301,7 @@ def decay_exponent_fit(m, pred: EventPredicate, gamma_grid: Sequence[float],
     drift = None
     if check_burn_in:
         drift = _burn_in_drift(m, pred, grid[0], probs[0], n_samples, burn_in,
-                               seed_tuple + (0,), threads, p0, p_star)
+                               seed_tuple + (0,), p0, p_star)
 
     return ExponentFit(
         gamma_grid=grid, probs=tuple(probs), hits=tuple(hits), censored=censored,
@@ -334,7 +312,7 @@ def decay_exponent_fit(m, pred: EventPredicate, gamma_grid: Sequence[float],
 
 
 def _burn_in_drift(m, pred, gamma_bar, p1, n_samples, burn_in, seed_tuple,
-                   threads, p0, p_star) -> dict:
+                   p0, p_star) -> dict:
     """Hit fraction p1 at burn_in vs a fresh run at 2 * burn_in, same seeds.
 
     p1 is the fit's own hit fraction at this gridpoint, which was sampled
@@ -342,7 +320,7 @@ def _burn_in_drift(m, pred, gamma_bar, p1, n_samples, burn_in, seed_tuple,
     """
     cfg = SimulationConfig(gamma_bar=gamma_bar, n_samples=n_samples,
                            burn_in=2 * burn_in, seed=seed_tuple, p0=p0)
-    p2, _ = event_probability(sample_invariant(m, cfg, threads=threads), pred, p_star)
+    p2, _ = event_probability(sample_invariant(m, cfg), pred, p_star)
     se = math.sqrt(p1 * (1 - p1) / n_samples + p2 * (1 - p2) / n_samples)
     return {
         "gamma_bar": gamma_bar,
@@ -484,7 +462,7 @@ def exceedance_sup(m, gamma_bar: float, thresholds: Sequence[float], horizon: in
     p0 = p0 if p0 is not None else m.P0
     seed_tuple = _as_seed_tuple(seed)
 
-    bits = _arrival_bits(seed_tuple, gamma_bar, 0, n_chains, horizon)
+    bits = _arrival_bits(seed_tuple, gamma_bar, n_chains, horizon)
 
     p = np.broadcast_to(p0.a, (n_chains, p0.dim, p0.dim)).copy()
     sup_freq = [0.0] * len(thresholds)

@@ -101,14 +101,6 @@ def step(m, p: np.ndarray, bits: np.ndarray) -> np.ndarray:
     return (out + np.transpose(out, (0, 2, 1))) / 2.0
 
 
-def norms(p: np.ndarray) -> np.ndarray:
-    """Spectral norms of a stack of symmetric matrices of shape (k, N, N)."""
-    if p.shape[-1] == 1:
-        return np.abs(p[:, 0, 0])
-    sym = (p + np.transpose(p, (0, 2, 1))) / 2.0
-    return np.max(np.abs(np.linalg.eigvalsh(sym)), axis=-1)
-
-
 def riccati_power(m, x: SymMatrix, t: int) -> SymMatrix:
     """t-fold application of the measurement update, f1^t(X)."""
     if t < 0:

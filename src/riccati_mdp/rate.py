@@ -5,12 +5,15 @@ sits in a set G far from the fixed point P* decays like (1 - g)^e.  The
 exponent e is a variational quantity: the fewest open-loop updates any word
 needs in order to carry P* into G.  This module computes it exactly.
 
-The search space is cut down by one observation: if the open-loop orbit
-f0^k(P*) first enters G at step k_G, then words longer than k_G cannot lower
-the minimum, so enumeration over lengths <= k_G suffices.  The word tree is
-walked one level (word length) at a time on stacked arrays, merging words
-whose values coincide on a rounding grid (property-tested against a brute
-force walk without merging).
+The search is cut at k_G, the step at which the open-loop orbit f0^k(P*)
+first enters G: only words of length <= k_G are enumerated.  For the
+one-sided (class A) geometry, which every scalar model has, longer words
+cannot lower the minimum.  Elsewhere the cut is unproven (on about 2% of
+random N=2 and N=3 models a longer word with fewer drops hits G), so the
+exponent is an upper bound; `is_class_A` screens for the property.  The
+word tree is walked one level (word length) at a time on stacked arrays,
+merging words whose values coincide on a rounding grid (property-tested
+against a brute force walk without merging).
 
 Exact finite-time distributions are also computed here: for small horizons
 the chain's law is a finite mixture over arrival paths, and each atom's
@@ -26,8 +29,8 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .linalg import SymMatrix, as_sym, loewner_leq, spectral_norm
-from .operators import lyapunov_step, norms, random_psd, riccati_step, solve_dare, step
+from .linalg import SymMatrix, as_sym, loewner_leq, norms, spectral_norm
+from .operators import lyapunov_step, random_psd, riccati_step, solve_dare, step
 from .strings import GammaString, _grid_keys, _next_level
 
 # Hard ceiling on enumeration depth: 2^26 states is the direct-search limit.
@@ -121,7 +124,7 @@ class EventPredicate:
         raise ValueError(f"unknown predicate kind {self.kind!r}")
 
     def batch(self, values: np.ndarray, p_star: Optional[SymMatrix] = None) -> np.ndarray:
-        """Vectorized membership over a stack of symmetric matrices (n, N, N)."""
+        """Vectorized membership over an exactly symmetric stack (n, N, N)."""
         values = np.asarray(values, dtype=float)
         if self.kind == "custom":
             return np.array([bool(self.fn(SymMatrix(v))) for v in values], dtype=bool)
@@ -137,27 +140,30 @@ class EventPredicate:
 def iota(m, m_radius: float, cap: int = IOTA_CAP,
          p_star: Optional[SymMatrix] = None) -> float:
     """First k with ||f0^k(P*) - P*|| >= m_radius, or math.inf past the cap."""
-    return _first_escape(m, m_radius, strict=False, cap=cap, p_star=p_star)
+    return _orbit_entry(m, EventPredicate.ball_complement(m_radius), cap, p_star)
 
 
 def iota_plus(m, m_radius: float, cap: int = IOTA_CAP,
               p_star: Optional[SymMatrix] = None) -> float:
     """First k with ||f0^k(P*) - P*|| > m_radius (strict), or math.inf."""
-    return _first_escape(m, m_radius, strict=True, cap=cap, p_star=p_star)
+    return _orbit_entry(m, EventPredicate.ball_complement(m_radius, open_=True), cap, p_star)
 
 
-def _first_escape(m, m_radius: float, strict: bool, cap: int,
-                  p_star: Optional[SymMatrix]) -> float:
-    if not m_radius > 0.0:
-        raise ValueError(f"radius must be positive, got {m_radius}")
+def _orbit_entry(m, pred: EventPredicate, cap: int,
+                 p_star: Optional[SymMatrix]) -> float:
+    """First k <= cap with f0^k(P*) in the set, or math.inf past the cap.
+
+    Raises RuntimeError when the orbit overflows before it enters the set.
+    """
     if p_star is None:
         p_star = solve_dare(m).p_star
-    x = p_star
+    orbit = p_star.a[None]
     for k in range(cap + 1):
-        dist = spectral_norm(x - p_star)
-        if (dist > m_radius) if strict else (dist >= m_radius):
+        if not np.isfinite(orbit).all():
+            raise RuntimeError(f"the open-loop orbit went non-finite at step {k}")
+        if pred.batch(orbit, p_star)[0]:
             return k
-        x = lyapunov_step(m, x)
+        orbit = step(m, orbit, np.zeros(1, dtype=bool))
     return math.inf
 
 
@@ -234,31 +240,27 @@ def rate_over_set(m, pred: EventPredicate, k_cap: int = DEFAULT_K_CAP,
 
     First finds k_G, the open-loop orbit's entry step into the set (capped at
     k_cap); the search then covers every word of length <= k_G, one length
-    at a time.  Words with one open-loop count whose values share a
-    rounding-grid cell generate identical futures, so each level keeps one
-    node per distinct (count, value), carrying the smallest word that
-    reaches it; nodes whose count exceeds the best hit so far are pruned.
-    The exponent is the smallest count of a hit, and the witness is the
-    lexicographically smallest hitting word with that count (0 sorts before
-    1, shorter before longer at equal prefix).
+    at a time.  The cut at k_G is exact only for class A models (every
+    scalar model; see `is_class_A`): elsewhere a longer word with fewer
+    drops can hit the set, and the exponent is then an upper bound.  Words
+    with one open-loop count whose values share a rounding-grid cell
+    generate identical futures, so each level keeps one node per distinct
+    (count, value), carrying the smallest word that reaches it; nodes whose
+    count exceeds the best hit so far are pruned.  The exponent is the
+    smallest count of a hit, and the witness is the lexicographically
+    smallest hitting word with that count (0 sorts before 1, shorter before
+    longer at equal prefix).
     """
     if not 0 <= k_cap <= K_CAP_LIMIT:
         raise ValueError(f"k_cap must be in [0, {K_CAP_LIMIT}], got {k_cap}")
     if p_star is None:
         p_star = solve_dare(m).p_star
 
-    examined = 0
-    k_gamma = math.inf
-    orbit = p_star.a[None]
-    for k in range(k_cap + 1):
-        examined += 1
-        if pred.batch(orbit, p_star)[0]:
-            k_gamma = k
-            break
-        orbit = step(m, orbit, np.zeros(1, dtype=bool))
+    k_gamma = _orbit_entry(m, pred, k_cap, p_star)
     if not math.isfinite(k_gamma):
         return VariationalSolution(exponent=math.inf, minimizer=None,
-                                   k_gamma=math.inf, strings_examined=examined)
+                                   k_gamma=math.inf, strings_examined=k_cap + 1)
+    examined = k_gamma + 2  # the orbit points tested, then the tree root
 
     # A node is a distinct (open-loop count, value) pair carrying the smallest
     # word code that reaches it.  Codes put the outermost bit in the most
@@ -266,7 +268,6 @@ def rate_over_set(m, pred: EventPredicate, k_cap: int = DEFAULT_K_CAP,
     level = p_star.a[None]
     zeros = np.zeros(1, dtype=np.int64)
     codes = np.zeros(1, dtype=np.int64)
-    examined += 1
     best = math.inf
     hits = []
     for length in range(k_gamma + 1):

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SymMatrix, as_sym, loewner_leq, spectral_norm
-from .operators import lyapunov_step, norms, riccati_step, solve_dare, step
+from .linalg import SymMatrix, as_sym, loewner_leq, norms, spectral_norm
+from .operators import lyapunov_step, riccati_step, solve_dare, step
 
 # The word tree doubles per level; keep the support walk at a sane depth.
 MAX_SUPPORT_LENGTH = 22

@@ -109,8 +109,7 @@ def test_criterion_04_monte_carlo_exponent(scalar, m1):
     grid = (0.55, 0.60, 0.65, 0.70, 0.75, 0.80)
     t0 = time.perf_counter()
     fit = decay_exponent_fit(scalar, EventPredicate.ball_complement(m1),
-                             grid, n_samples=10_000, burn_in=100, seed=2024,
-                             threads=1)
+                             grid, n_samples=10_000, burn_in=100, seed=2024)
     elapsed = time.perf_counter() - t0
     ok = 3.0 <= fit.slope <= 5.0 and elapsed < 60.0
     _line(4, ok, f"slope={fit.slope:.4f} in [3, 5] (stderr {fit.stderr:.3f}), "

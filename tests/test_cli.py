@@ -130,26 +130,6 @@ class TestInvariant:
         header = (out / "samples.csv").read_text().splitlines()[0]
         assert header == "chain_id,p_0_0,p_0_1,p_1_0,p_1_1"
 
-    def test_threads_flag_and_env_agree(self, tmp_path, monkeypatch):
-        cfg = write_config(
-            tmp_path, invariant={"gamma": 0.7, "n_samples": 60, "burn_in": 30, "seed": 1})
-        out1, out2, out3 = tmp_path / "t1", tmp_path / "t2", tmp_path / "t3"
-        monkeypatch.delenv(cli.THREADS_ENV_VAR, raising=False)
-        cli.main(["invariant", "--config", cfg, "--out", str(out1)])
-        cli.main(["invariant", "--config", cfg, "--out", str(out2), "--threads", "3"])
-        monkeypatch.setenv(cli.THREADS_ENV_VAR, "4")
-        cli.main(["invariant", "--config", cfg, "--out", str(out3)])
-        ref = (out1 / "samples.csv").read_bytes()
-        assert (out2 / "samples.csv").read_bytes() == ref
-        assert (out3 / "samples.csv").read_bytes() == ref
-
-    def test_bad_env_threads(self, tmp_path, monkeypatch, capsys):
-        cfg = write_config(
-            tmp_path, invariant={"gamma": 0.7, "n_samples": 10, "burn_in": 5, "seed": 1})
-        monkeypatch.setenv(cli.THREADS_ENV_VAR, "lots")
-        assert cli.main(["invariant", "--config", cfg]) == 2
-        assert cli.THREADS_ENV_VAR in capsys.readouterr().err
-
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_chains_exit_three(self, tmp_path, capsys):
         cfg = write_config(
@@ -159,12 +139,6 @@ class TestInvariant:
         assert cli.main(["invariant", "--config", cfg, "--out", str(out)]) == 3
         assert "non-finite" in capsys.readouterr().err
         assert not (out / "samples.csv").exists()
-
-    def test_zero_threads_rejected(self, tmp_path, monkeypatch):
-        cfg = write_config(
-            tmp_path, invariant={"gamma": 0.7, "n_samples": 10, "burn_in": 5, "seed": 1})
-        monkeypatch.delenv(cli.THREADS_ENV_VAR, raising=False)
-        assert cli.main(["invariant", "--config", cfg, "--threads", "0"]) == 2
 
 
 class TestRate:
@@ -292,9 +266,9 @@ class TestReproduceScalar:
         calls = []
         real = montecarlo.sample_invariant
 
-        def counting(m, cfg, threads=1):
+        def counting(m, cfg):
             calls.append(cfg)
-            return real(m, cfg, threads=threads)
+            return real(m, cfg)
 
         monkeypatch.setattr(montecarlo, "sample_invariant", counting)
         out = tmp_path / "study"
@@ -329,6 +303,22 @@ class TestEntryPoint:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert "overall" in proc.stdout
+
+    def test_runs_without_scipy(self):
+        # A None entry in sys.modules makes every import of scipy fail.
+        code = "\n".join([
+            "import sys",
+            "sys.modules['scipy'] = None",
+            "from riccati_mdp import (EventPredicate, SimulationConfig, "
+            "rate_over_set, sample_invariant)",
+            "from riccati_mdp.models import planar_model",
+            "m = planar_model()",
+            "assert rate_over_set(m, EventPredicate.ball_complement(20.0)).exponent == 3",
+            "cfg = SimulationConfig(gamma_bar=0.7, n_samples=50, burn_in=20, seed=1)",
+            "assert sample_invariant(m, cfg).non_finite == 0",
+        ])
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
     def test_help_lists_subcommands(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -133,6 +133,14 @@ class TestIota:
     def test_cap_returns_inf(self, scalar_model):
         assert iota(scalar_model, 1e6, cap=3) == math.inf
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_orbit_overflow_is_a_numeric_failure(self, scalar_model, planar):
+        # Both orbits overflow (near step 2 000 and 1 900) before any
+        # distance reaches 1.7e308.
+        for model in (scalar_model, planar):
+            with pytest.raises(RuntimeError, match="non-finite"):
+                iota(model, 1.7e308, cap=3000)
+
     def test_rejects_bad_radius(self, scalar_model):
         with pytest.raises(ValueError):
             iota(scalar_model, 0.0)
