@@ -38,9 +38,10 @@ class SymMatrix:
             a = a.reshape(1, 1)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
+        # Checked after symmetrizing: entries near the float limit overflow there.
+        a = (a + a.T) / 2.0
         if not np.all(np.isfinite(a)):
             raise ValueError("matrix entries must be finite")
-        a = (a + a.T) / 2.0
         a.flags.writeable = False
         self._a = a
 
@@ -296,7 +297,7 @@ def controllability_rank(m: SystemModel) -> int:
     return _staircase_rank(blocks)
 
 
-def validate_system(m: SystemModel, tol_pd: float = PD_TOL) -> ValidationReport:
+def validate_system(m: SystemModel) -> ValidationReport:
     """Check the standing admissibility conditions for the covariance iteration.
 
     Requires Q > 0, R > 0, observability of (C, A), and P0 >= 0.  The
@@ -308,7 +309,7 @@ def validate_system(m: SystemModel, tol_pd: float = PD_TOL) -> ValidationReport:
     for name, mat in (("Q positive definite", m.Q), ("R positive definite", m.R)):
         lam_min = float(np.min(np.linalg.eigvalsh(mat.a)))
         checks.append(
-            ValidationCheck(name, lam_min > tol_pd, f"min eigenvalue {lam_min:.6e}")
+            ValidationCheck(name, lam_min > PD_TOL, f"min eigenvalue {lam_min:.6e}")
         )
 
     n = m.dim_state
@@ -322,7 +323,7 @@ def validate_system(m: SystemModel, tol_pd: float = PD_TOL) -> ValidationReport:
     )
 
     lam_min_p0 = float(np.min(np.linalg.eigvalsh(m.P0.a)))
-    p0_floor = -tol_pd * (1.0 + spectral_norm(m.P0))
+    p0_floor = -PD_TOL * (1.0 + spectral_norm(m.P0))
     checks.append(
         ValidationCheck(
             "P0 positive semidefinite",

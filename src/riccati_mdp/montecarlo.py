@@ -390,7 +390,7 @@ class TailBound:
 
 def tail_bound(m, gamma_bar: float, threshold: float,
                p0: Optional[SymMatrix] = None, kappa: Optional[float] = None,
-               kappa_trials: int = 50, seed: int = 0) -> TailBound:
+               seed: int = 0) -> TailBound:
     """Geometric tail bound on the running covariance norm.
 
     After any window of N = state-dimension consecutive arrivals the iterate
@@ -417,7 +417,7 @@ def tail_bound(m, gamma_bar: float, threshold: float,
                          k_of_m=None, bound=None, vacuous=False, alpha=alpha,
                          kappa=None, kappa1=None)
     if kappa is None:
-        kappa = uniform_bound_kappa(m, trials=kappa_trials, seed=seed)
+        kappa = uniform_bound_kappa(m, seed=seed)
     p0 = p0 if p0 is not None else m.P0
     kappa1 = max(kappa, spectral_norm(p0))
     q_norm = spectral_norm(m.Q)

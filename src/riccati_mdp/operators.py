@@ -21,30 +21,37 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_ORDER_TOL, SymMatrix, as_sym, spectral_norm
+from .linalg import DEFAULT_ORDER_TOL, SymMatrix, as_sym, norms
 
 # Iterates are symmetrized every step; this is the PSD slack allowed on inputs.
 _PSD_INPUT_TOL = 1e-8
+_DARE_MAX_ITERATIONS = 100_000
 
 
-def _require_psd(x: SymMatrix, what: str) -> SymMatrix:
+def _entry(m, x, what: str) -> np.ndarray:
+    """Shape and PSD check where a matrix enters; returns it as a batch of one."""
     x = as_sym(x)
-    lam_min = float(np.min(np.linalg.eigvalsh(x.a)))
-    if lam_min < -_PSD_INPUT_TOL * (1.0 + spectral_norm(x)):
-        raise ValueError(f"{what} must be PSD, min eigenvalue {lam_min:.6e}")
-    return x
-
-
-def _single_step(m, x: SymMatrix, arrived: bool) -> SymMatrix:
-    x = _require_psd(x, "X")
     if x.dim != m.dim_state:
-        raise ValueError(f"X must be {m.dim_state}x{m.dim_state}, got {x.dim}x{x.dim}")
-    return SymMatrix(step(m, x.a[None], np.array([arrived]))[0])
+        raise ValueError(f"{what} must be {m.dim_state}x{m.dim_state}, got {x.dim}x{x.dim}")
+    p = x.a[None]
+    lam_min = float(np.min(np.linalg.eigvalsh(x.a)))
+    if lam_min < -_PSD_INPUT_TOL * (1.0 + norms(p)[0]):
+        raise ValueError(f"{what} must be PSD, min eigenvalue {lam_min:.6e}")
+    return p
+
+
+def _steps(m, p: np.ndarray, bits: np.ndarray, what: str) -> np.ndarray:
+    """Step p once per row of bits (t, k); RuntimeError names a non-finite step."""
+    for t, row in enumerate(bits, 1):
+        p = step(m, p, row)
+        if not np.isfinite(p).all():
+            raise RuntimeError(f"{what} went non-finite at step {t}")
+    return p
 
 
 def lyapunov_step(m, x: SymMatrix) -> SymMatrix:
     """Open-loop update f0(X) = A X A^T + Q; `step` on a batch of one."""
-    return _single_step(m, x, False)
+    return SymMatrix(step(m, _entry(m, x, "X"), np.zeros(1, dtype=bool))[0])
 
 
 def riccati_step(m, x: SymMatrix) -> SymMatrix:
@@ -52,7 +59,7 @@ def riccati_step(m, x: SymMatrix) -> SymMatrix:
 
     `step` on a batch of one, so single matrices and stacks share numerics.
     """
-    return _single_step(m, x, True)
+    return SymMatrix(step(m, _entry(m, x, "X"), np.ones(1, dtype=bool))[0])
 
 
 def step(m, p: np.ndarray, bits: np.ndarray) -> np.ndarray:
@@ -105,10 +112,7 @@ def riccati_power(m, x: SymMatrix, t: int) -> SymMatrix:
     """t-fold application of the measurement update, f1^t(X)."""
     if t < 0:
         raise ValueError(f"t must be nonnegative, got {t}")
-    out = as_sym(x)
-    for _ in range(t):
-        out = riccati_step(m, out)
-    return out
+    return SymMatrix(_steps(m, _entry(m, x, "X"), np.ones((t, 1), dtype=bool), "f1^t(X)")[0])
 
 
 @dataclass(frozen=True)
@@ -127,22 +131,26 @@ class DareSolution:
         }
 
 
-def solve_dare(m, tol: float = 1e-12, max_iterations: int = 100_000) -> DareSolution:
+def solve_dare(m, tol: float = 1e-12) -> DareSolution:
     """Fixed point of f1 by direct iteration from X = Q.
 
     Stops when the step size drops below tol * (1 + ||X||).  Validated models
     contract geometrically near the fixed point, so the plain iteration is
-    reliable and keeps the solver free of model-reduction heuristics.
+    reliable and keeps the solver free of model-reduction heuristics.  An
+    iterate that goes non-finite (an inadmissible model) raises RuntimeError.
     """
-    x = m.Q
-    for k in range(1, max_iterations + 1):
-        x_next = riccati_step(m, x)
-        if spectral_norm(x_next - x) <= tol * (1.0 + spectral_norm(x)):
-            residual = spectral_norm(riccati_step(m, x_next) - x_next)
-            return DareSolution(p_star=x_next, iterations=k, residual=residual)
+    x = _entry(m, m.Q, "Q")
+    arrived = np.ones(1, dtype=bool)
+    for k in range(1, _DARE_MAX_ITERATIONS + 1):
+        x_next = step(m, x, arrived)
+        if not np.isfinite(x_next).all():
+            raise RuntimeError(f"fixed-point iteration went non-finite at iteration {k}")
+        if norms(x_next - x)[0] <= tol * (1.0 + norms(x)[0]):
+            residual = float(norms(step(m, x_next, arrived) - x_next)[0])
+            return DareSolution(p_star=SymMatrix(x_next[0]), iterations=k, residual=residual)
         x = x_next
     raise RuntimeError(
-        f"fixed-point iteration did not converge in {max_iterations} iterations"
+        f"fixed-point iteration did not converge in {_DARE_MAX_ITERATIONS} iterations"
     )
 
 
@@ -170,22 +178,19 @@ def uniform_bound_kappa(m, trials: int = 50, seed: int = 0) -> float:
     n = m.dim_state
     scales = [1.0, 10.0, 100.0, 1e3, 1e4]
 
-    probes = [SymMatrix(s * np.eye(n)) for s in scales]
+    def n_step_norms(xs):
+        return norms(_steps(m, np.stack(xs), np.ones((n, len(xs)), dtype=bool), "f1^N(X)"))
+
+    probes = [s * np.eye(n) for s in scales]
     for s in scales:
-        probes.extend(random_psd(rng, n, s) for _ in range(trials))
-    kappa = 2.0 * max(spectral_norm(riccati_power(m, x, n)) for x in probes)
+        probes.extend(random_psd(rng, n, s).a for _ in range(trials))
+    kappa = 2.0 * float(n_step_norms(probes).max())
 
     for attempt in range(11):
         check_rng = np.random.default_rng(np.random.SeedSequence((seed, 10_000 + attempt)))
-        ok = True
-        for _ in range(200):
-            scale = 10.0 ** check_rng.uniform(0.0, 4.0)
-            x = random_psd(check_rng, n, scale)
-            lam_max = float(np.max(np.linalg.eigvalsh(riccati_power(m, x, n).a)))
-            if lam_max > kappa * (1.0 + DEFAULT_ORDER_TOL):
-                ok = False
-                break
-        if ok:
+        draws = [random_psd(check_rng, n, 10.0 ** check_rng.uniform(0.0, 4.0)).a
+                 for _ in range(200)]
+        if np.all(n_step_norms(draws) <= kappa * (1.0 + DEFAULT_ORDER_TOL)):
             return kappa
         kappa *= 2.0
     raise RuntimeError(

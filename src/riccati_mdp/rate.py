@@ -30,8 +30,8 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from .linalg import SymMatrix, as_sym, loewner_leq, norms, spectral_norm
-from .operators import lyapunov_step, random_psd, riccati_step, solve_dare, step
-from .strings import GammaString, _grid_keys, _next_level
+from .operators import _entry, lyapunov_step, random_psd, riccati_step, solve_dare, step
+from .strings import DEDUP_TOL, GammaString, _grid_keys, _next_level
 
 # Hard ceiling on enumeration depth: 2^26 states is the direct-search limit.
 K_CAP_LIMIT = 26
@@ -113,15 +113,8 @@ class EventPredicate:
         return p_star
 
     def matches(self, x: SymMatrix, p_star: Optional[SymMatrix] = None) -> bool:
-        x = as_sym(x)
-        if self.kind == "ballc":
-            dist = spectral_norm(x - self._resolved_center(p_star))
-            return dist > self.threshold if self.open_ else dist >= self.threshold
-        if self.kind == "norm-above":
-            return spectral_norm(x) > self.threshold
-        if self.kind == "custom":
-            return bool(self.fn(x))
-        raise ValueError(f"unknown predicate kind {self.kind!r}")
+        """Membership of one matrix: `batch` on a batch of one."""
+        return bool(self.batch(as_sym(x).a[None], p_star)[0])
 
     def batch(self, values: np.ndarray, p_star: Optional[SymMatrix] = None) -> np.ndarray:
         """Vectorized membership over an exactly symmetric stack (n, N, N)."""
@@ -234,8 +227,7 @@ class VariationalSolution:
 
 
 def rate_over_set(m, pred: EventPredicate, k_cap: int = DEFAULT_K_CAP,
-                  p_star: Optional[SymMatrix] = None,
-                  dedup_tol: float = 1e-9) -> VariationalSolution:
+                  p_star: Optional[SymMatrix] = None) -> VariationalSolution:
     """Minimum open-loop count over words from P* whose value lands in the set.
 
     First finds k_G, the open-loop orbit's entry step into the set (capped at
@@ -274,8 +266,7 @@ def rate_over_set(m, pred: EventPredicate, k_cap: int = DEFAULT_K_CAP,
         if length:
             zeros = np.concatenate([zeros + 1, zeros])
             codes = np.concatenate([codes, codes | (1 << (length - 1))])
-            children, _keys, first, inverse = _next_level(m, level, dedup_tol,
-                                                          prefix=zeros[:, None])
+            children, _keys, first, inverse = _next_level(m, level, prefix=zeros[:, None])
             examined += len(children)
             fold = np.full(len(first), np.iinfo(np.int64).max)
             np.minimum.at(fold, inverse, codes)
@@ -293,7 +284,7 @@ def rate_over_set(m, pred: EventPredicate, k_cap: int = DEFAULT_K_CAP,
     if not hits:
         raise RuntimeError(
             "exhausted the enumeration without a hit, yet the orbit point "
-            f"f0^{k_gamma}(P*) was in the set; dedup tolerance {dedup_tol} is too coarse"
+            f"f0^{k_gamma}(P*) was in the set; dedup tolerance {DEDUP_TOL} is too coarse"
         )
     witness = GammaString(bits=min(bits for z, bits in hits if z == best), initial=p_star)
     return VariationalSolution(exponent=best, minimizer=witness,
@@ -421,8 +412,7 @@ class FiniteDimDistribution:
         return min(mult) if mult else math.inf
 
 
-def finite_dim_exact(m, p0: SymMatrix, times: Iterable[int],
-                     dedup_tol: float = 1e-9) -> FiniteDimDistribution:
+def finite_dim_exact(m, p0: SymMatrix, times: Iterable[int]) -> FiniteDimDistribution:
     """Exact law of (P_{t_1}, ..., P_{t_n}) for increasing recording times.
 
     Walks t = 0..t_n once, one tree level per step, maintaining a merged
@@ -443,15 +433,12 @@ def finite_dim_exact(m, p0: SymMatrix, times: Iterable[int],
             f"horizon {horizon} exceeds the exact-enumeration limit "
             f"{FINITE_DIM_MAX_HORIZON}"
         )
-    p0 = as_sym(p0)
-    if p0.dim != m.dim_state:
-        raise ValueError(f"P0 must be {m.dim_state}x{m.dim_state}, got {p0.dim}x{p0.dim}")
 
     # One node per distinct (recorded values, running value) signature, with
     # counts[i, p] the number of paths reaching node i with p open-loop steps.
     timeset = frozenset(times)
-    level = p0.a[None]
-    rec_keys = _grid_keys(level, dedup_tol)
+    level = _entry(m, p0, "P0")
+    rec_keys = _grid_keys(level)
     if 0 in timeset:
         recorded = level[:, None]
     else:
@@ -460,7 +447,7 @@ def finite_dim_exact(m, p0: SymMatrix, times: Iterable[int],
 
     for t in range(1, horizon + 1):
         children, keys, first, inverse = _next_level(
-            m, level, dedup_tol, prefix=np.concatenate([rec_keys, rec_keys]))
+            m, level, prefix=np.concatenate([rec_keys, rec_keys]))
         # f0 children (the first half) add one open-loop step to every path.
         child_counts = np.concatenate([np.pad(counts, ((0, 0), (1, 0))),
                                        np.pad(counts, ((0, 0), (0, 1)))])

@@ -23,10 +23,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import SymMatrix, as_sym, loewner_leq, norms, spectral_norm
-from .operators import lyapunov_step, riccati_step, solve_dare, step
+from .operators import _entry, _steps, solve_dare, step
 
 # The word tree doubles per level; keep the support walk at a sane depth.
 MAX_SUPPORT_LENGTH = 22
+# Relative pitch of the rounding grid on which word values are merged.
+DEDUP_TOL = 1e-9
+# Doubling searches for an envelope scale give up past 2^_MAX_DOUBLINGS.
+_MAX_DOUBLINGS = 60
 
 _RUN_TOKEN = re.compile(r"^([01])(?:\^([1-9][0-9]*))?$")
 
@@ -100,28 +104,27 @@ class StringValue:
 
 def eval_string(m, r: GammaString) -> StringValue:
     """Apply the word to its starting covariance, innermost bit first."""
-    x = r.initial
-    for b in reversed(r.bits):
-        x = riccati_step(m, x) if b else lyapunov_step(m, x)
-    return StringValue(value=x, pi=pi_count(r), source=r)
+    bits = np.array(r.bits[::-1], dtype=bool).reshape(-1, 1)
+    p = _steps(m, _entry(m, r.initial, "initial"), bits, f"word {r.to_text()!r}")
+    return StringValue(value=SymMatrix(p[0]), pi=pi_count(r), source=r)
 
 
-def _grid_keys(values: np.ndarray, dedup_tol: float) -> np.ndarray:
+def _grid_keys(values: np.ndarray) -> np.ndarray:
     """Rounding keys of a stack (k, N, N), one int64 row of N*N entries each.
 
-    Entries are snapped to a grid of pitch dedup_tol * (1 + ||X||), so two
+    Entries are snapped to a grid of pitch DEDUP_TOL * (1 + ||X||), so two
     values sharing a key agree entrywise to within one grid cell.
     """
-    pitch = dedup_tol * (1.0 + norms(values))
+    pitch = DEDUP_TOL * (1.0 + norms(values))
     return np.round(values / pitch[:, None, None]).astype(np.int64).reshape(len(values), -1)
 
 
-def value_key(x: SymMatrix, dedup_tol: float = 1e-9) -> tuple:
+def value_key(x: SymMatrix) -> tuple:
     """Rounding key of one value: `_grid_keys` on a batch of one, as a tuple."""
-    return tuple(_grid_keys(as_sym(x).a[None], dedup_tol)[0].tolist())
+    return tuple(_grid_keys(as_sym(x).a[None])[0].tolist())
 
 
-def _next_level(m, values: np.ndarray, dedup_tol: float, prefix=None):
+def _next_level(m, values: np.ndarray, prefix=None):
     """One level down the word tree, with children merged on the rounding grid.
 
     The children of a level (k, N, N) are its f0 images followed by its f1
@@ -132,10 +135,13 @@ def _next_level(m, values: np.ndarray, dedup_tol: float, prefix=None):
     group, in order of first occurrence, and inverse[i] is the group of
     child i, ready for `np.<ufunc>.at` folds of per-child payloads.
     Merging is sound because a word's future depends only on its value.
+    Raises RuntimeError when a child goes non-finite.
     """
     k = len(values)
     children = step(m, np.concatenate([values, values]), np.arange(2 * k) >= k)
-    keys = _grid_keys(children, dedup_tol)
+    if not np.isfinite(children).all():
+        raise RuntimeError("a word-tree level went non-finite")
+    keys = _grid_keys(children)
     if prefix is not None:
         keys = np.concatenate([prefix, keys], axis=1)
     _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
@@ -145,7 +151,7 @@ def _next_level(m, values: np.ndarray, dedup_tol: float, prefix=None):
     return children, keys, first[order], rank[inverse.reshape(-1)]
 
 
-def support_set(m, max_len: int, dedup_tol: float = 1e-9) -> list[SymMatrix]:
+def support_set(m, max_len: int) -> list[SymMatrix]:
     """Distinct word values reachable from the fixed point in <= max_len steps.
 
     Walks the value tree level by level (`_next_level`), expanding each
@@ -161,10 +167,10 @@ def support_set(m, max_len: int, dedup_tol: float = 1e-9) -> list[SymMatrix]:
             f"max_len {max_len} exceeds the enumeration limit {MAX_SUPPORT_LENGTH}"
         )
     level = solve_dare(m).p_star.a[None]
-    seen = {_grid_keys(level, dedup_tol)[0].tobytes()}
+    seen = {_grid_keys(level)[0].tobytes()}
     found = [level]
     for _ in range(max_len):
-        children, keys, first, _ = _next_level(m, level, dedup_tol)
+        children, keys, first, _ = _next_level(m, level)
         fresh = [i for i in first if keys[i].tobytes() not in seen]
         if not fresh:
             break
@@ -174,17 +180,17 @@ def support_set(m, max_len: int, dedup_tol: float = 1e-9) -> list[SymMatrix]:
     return [SymMatrix(v) for v in np.concatenate(found)]
 
 
-def invariant_upper_scale(m, tol_doublings: int = 60) -> float:
+def invariant_upper_scale(m) -> float:
     """Smallest tested b with f1(b * I) <= b * I, found by doubling from 1."""
-    n = m.dim_state
+    eye = np.eye(m.dim_state)
+    arrived = np.ones(1, dtype=bool)
     b = 1.0
-    for _ in range(tol_doublings):
-        scaled = SymMatrix(b * np.eye(n))
-        if loewner_leq(riccati_step(m, scaled), scaled):
+    for _ in range(_MAX_DOUBLINGS):
+        if loewner_leq(step(m, b * eye[None], arrived)[0], b * eye):
             return b
         b *= 2.0
     raise RuntimeError(
-        f"no invariant scale below 2^{tol_doublings}; model may not admit one"
+        f"no invariant scale below 2^{_MAX_DOUBLINGS}; model may not admit one"
     )
 
 
@@ -201,16 +207,16 @@ def string_upper_bound(m, r: GammaString) -> tuple[SymMatrix, float]:
     n = m.dim_state
     alpha = max(beta, spectral_norm(r.initial))
     eye = np.eye(n)
-    for _ in range(60):
+    for _ in range(_MAX_DOUBLINGS):
         if loewner_leq(r.initial, SymMatrix(alpha * eye)):
             break
         alpha *= 2.0
     else:
-        raise RuntimeError("no alpha with initial <= alpha * I after 60 doublings")
+        raise RuntimeError(
+            f"no alpha with initial <= alpha * I after {_MAX_DOUBLINGS} doublings")
 
-    bound = SymMatrix(alpha * eye)
-    for _ in range(pi_count(r)):
-        bound = lyapunov_step(m, bound)
+    open_loop = np.zeros((pi_count(r), 1), dtype=bool)
+    bound = SymMatrix(_steps(m, alpha * eye[None], open_loop, "f0^pi(alpha * I)")[0])
 
     value = eval_string(m, r).value
     if not loewner_leq(value, bound, tol=1e-7):

@@ -288,9 +288,10 @@ class TestReproduceScalar:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_chains_exit_three(self, tmp_path, monkeypatch, capsys):
-        # A start at 1e308 overflows on the first step of every chain.
+        # The largest start SymMatrix accepts (half the float maximum)
+        # overflows on the first step of every chain.
         monkeypatch.setattr(cli, "scalar_study_model", lambda: SystemModel(
-            A=math.sqrt(2.0), C=1.0, Q=1.0, R=1.0, P0=1e308))
+            A=math.sqrt(2.0), C=1.0, Q=1.0, R=1.0, P0=np.finfo(float).max / 2))
         assert cli.main(["reproduce-scalar", "--out", str(tmp_path / "s")]) == 3
         assert "non-finite" in capsys.readouterr().err
 

@@ -38,6 +38,19 @@ class TestSymMatrix:
         with pytest.raises(ValueError):
             SymMatrix([[1.0, math.inf], [math.inf, 1.0]])
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_rejects_overflow_in_symmetrization(self):
+        with pytest.raises(ValueError):
+            SymMatrix([[1e308]])
+        with pytest.raises(ValueError):
+            SymMatrix([[1.0, 1e308], [1e308, 1.0]])
+        # Exactly symmetric finite inputs are stored bit for bit.
+        big = np.finfo(float).max / 2
+        rng = np.random.default_rng(3)
+        for x in [np.array([[big]]), np.array([[1.0, -big], [-big, 5e-324]])] + [
+                g + g.T for g in rng.standard_normal((20, 3, 3)) * 1e150]:
+            assert np.array_equal(SymMatrix(x).a, x)
+
     def test_backing_array_is_read_only(self):
         s = SymMatrix.identity(2)
         with pytest.raises((ValueError, RuntimeError)):

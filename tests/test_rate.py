@@ -83,12 +83,16 @@ class TestEventPredicate:
             with pytest.raises(ValueError):
                 EventPredicate.from_spec(bad)
 
+    # `matches` is `batch` on a batch of one, so both are checked against
+    # distances from the oracle's own norm.
     def test_batch_agrees_with_matches(self, scalar_pstar):
         pred = EventPredicate.ball_complement(3.0)
         rng = np.random.default_rng(0)
         vals = rng.uniform(0.0, 10.0, size=200).reshape(-1, 1, 1)
         flags = pred.batch(vals, scalar_pstar)
-        for v, f in zip(vals, flags):
+        want = oracles.spectral_norms(vals - scalar_pstar.a) >= 3.0
+        assert np.array_equal(flags, want)
+        for v, f in zip(vals, want):
             assert f == pred.matches(SymMatrix(v), scalar_pstar)
 
     def test_batch_matrix_values(self, planar_pstar):
@@ -97,7 +101,9 @@ class TestEventPredicate:
         g = rng.standard_normal((100, 2, 2))
         vals = g @ np.swapaxes(g, -1, -2)
         flags = pred.batch(vals, planar_pstar)
-        for v, f in zip(vals, flags):
+        want = oracles.spectral_norms(vals - planar_pstar.a) >= 2.0
+        assert np.array_equal(flags, want)
+        for v, f in zip(vals, want):
             assert f == pred.matches(SymMatrix(v), planar_pstar)
 
     def test_custom_spec_is_opaque_label(self):
@@ -329,6 +335,14 @@ class TestRatePoint:
 
 
 class TestFiniteDim:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_level_overflow_is_a_numeric_failure(self):
+        # Admissible, but f0 multiplies by 1e40: level 8 overflows.
+        m = SystemModel(A=1e20, C=1.0, Q=1.0, R=1.0, P0=1.0)
+        assert validate_system(m).passed
+        with pytest.raises(RuntimeError, match="non-finite"):
+            finite_dim_exact(m, m.P0, [20])
+
     def test_two_step_atoms(self, scalar_model, scalar_pstar):
         dist = finite_dim_exact(scalar_model, scalar_pstar, [2])
         atoms = {round(a.values[0].item(), 9): a.multiplicity for a in dist.atoms}

@@ -6,6 +6,7 @@ import pytest
 from riccati_mdp import (
     GammaString,
     SymMatrix,
+    SystemModel,
     eval_string,
     format_run_length,
     invariant_upper_scale,
@@ -90,6 +91,13 @@ class TestEvalString:
             a = eval_string(planar, plain).value
             b = eval_string(planar, padded).value
             assert spectral_norm(a - b) <= 1e-9 * (1.0 + spectral_norm(a))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflow_is_a_numeric_failure(self):
+        # Admissible, but f0 multiplies by 1e40: eight open-loop steps overflow.
+        m = SystemModel(A=1e20, C=1.0, Q=1.0, R=1.0, P0=1.0)
+        with pytest.raises(RuntimeError, match="non-finite"):
+            eval_string(m, GammaString.from_text("0^20", m.P0))
 
     def test_value_includes_metadata(self, scalar_model):
         r = GammaString(bits=(0, 0), initial=SymMatrix(1.0))
