@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .linalg import SymMatrix, as_sym, norms, spectral_norm
-from .operators import solve_dare, step, uniform_bound_kappa
+from .operators import _entry, solve_dare, step, uniform_bound_kappa
 from .rate import EventPredicate
 
 # Uniforms drawn per chunk when building arrival bits; bounds the float64
@@ -91,11 +91,9 @@ def _count_non_finite(p: np.ndarray) -> int:
     return int(p.shape[0] - np.count_nonzero(np.isfinite(p).all(axis=(1, 2))))
 
 
-def _resolve_p0(m, cfg: SimulationConfig) -> SymMatrix:
-    p0 = cfg.p0 if cfg.p0 is not None else m.P0
-    if p0.dim != m.dim_state:
-        raise ValueError(f"P0 must be {m.dim_state}x{m.dim_state}, got {p0.dim}x{p0.dim}")
-    return p0
+def _resolve_p0(m, p0: Optional[SymMatrix]) -> np.ndarray:
+    """p0, or the model's P0 when None, shape- and PSD-checked as a batch of one."""
+    return _entry(m, p0 if p0 is not None else m.P0, "P0")
 
 
 @dataclass(frozen=True)
@@ -119,7 +117,7 @@ def simulate_rre(m, cfg: SimulationConfig,
     on a batch of one, and a step that overflows raises RuntimeError naming
     that step.
     """
-    p0 = _resolve_p0(m, cfg)
+    p = _resolve_p0(m, cfg.p0)
     t_max = cfg.horizon
     if arrivals is None:
         bits = _arrival_bits(cfg.seed_tuple(), cfg.gamma_bar, 1, t_max)[0].astype(int)
@@ -129,8 +127,7 @@ def simulate_rre(m, cfg: SimulationConfig,
             raise ValueError(f"need exactly {t_max} forced arrivals, got {bits.shape}")
         if not np.all((bits == 0) | (bits == 1)):
             raise ValueError("forced arrivals must be 0 or 1")
-    path = [p0]
-    p = p0.a[None]
+    path = [SymMatrix(p[0])]
     for t in range(t_max):
         p = step(m, p, bits[t:t + 1])
         if _count_non_finite(p):
@@ -185,11 +182,11 @@ def sample_invariant(m, cfg: SimulationConfig) -> EmpiricalDistribution:
     Chain i's bits are row i of the run's uniform block; the whole stack of
     chains advances in lockstep through `operators.step`.
     """
-    p0 = _resolve_p0(m, cfg)
+    p0 = _resolve_p0(m, cfg.p0)
     n, burn = cfg.n_samples, cfg.burn_in
     seed_tuple = cfg.seed_tuple()
     bits = _arrival_bits(seed_tuple, cfg.gamma_bar, n, burn)
-    samples = np.broadcast_to(p0.a, (n, p0.dim, p0.dim)).copy()
+    samples = np.repeat(p0, n, axis=0)
     for t in range(burn):
         samples = step(m, samples, bits[:, t])
     samples.flags.writeable = False
@@ -411,6 +408,7 @@ def tail_bound(m, gamma_bar: float, threshold: float,
         raise ValueError(f"gamma_bar must be in (0, 1), got {gamma_bar}")
     if not threshold > 0.0:
         raise ValueError(f"threshold must be positive, got {threshold}")
+    p0 = _resolve_p0(m, p0)
     alpha = float(np.linalg.norm(m.A, 2))
     if alpha <= 1.0:
         return TailBound(gamma_bar=gamma_bar, threshold=threshold, applicable=False,
@@ -418,8 +416,7 @@ def tail_bound(m, gamma_bar: float, threshold: float,
                          kappa=None, kappa1=None)
     if kappa is None:
         kappa = uniform_bound_kappa(m, seed=seed)
-    p0 = p0 if p0 is not None else m.P0
-    kappa1 = max(kappa, spectral_norm(p0))
+    kappa1 = max(kappa, float(norms(p0)[0]))
     q_norm = spectral_norm(m.Q)
     a2 = alpha * alpha
 
@@ -459,12 +456,12 @@ def exceedance_sup(m, gamma_bar: float, thresholds: Sequence[float], horizon: in
     non-finite within the horizon.
     """
     thresholds = tuple(float(t) for t in thresholds)
-    p0 = p0 if p0 is not None else m.P0
+    p0 = _resolve_p0(m, p0)
     seed_tuple = _as_seed_tuple(seed)
 
     bits = _arrival_bits(seed_tuple, gamma_bar, n_chains, horizon)
 
-    p = np.broadcast_to(p0.a, (n_chains, p0.dim, p0.dim)).copy()
+    p = np.repeat(p0, n_chains, axis=0)
     sup_freq = [0.0] * len(thresholds)
     arg_t = [0] * len(thresholds)
     for t in range(horizon + 1):

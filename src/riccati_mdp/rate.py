@@ -18,13 +18,17 @@ against a brute force walk without merging).
 Exact finite-time distributions are also computed here: for small horizons
 the chain's law is a finite mixture over arrival paths, and each atom's
 probability is a polynomial in g whose lowest-order term gives the atom's
-decay exponent.
+decay exponent.  A law is held as two arrays, the atoms' recorded values and
+their path counts per number of open-loop steps, so an event over the atoms
+is a boolean mask, one sum of count rows and one polynomial.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -379,35 +383,106 @@ def poly_probability(multiplicity: dict, gamma_bar: float, horizon: int) -> floa
                      for p, c in sorted(multiplicity.items())))
 
 
-@dataclass(frozen=True)
-class FiniteDimDistribution:
-    """Exact joint law of the covariance at finitely many times.
+class _AtomView(Sequence):
+    """Read-only sequence of a law's atoms; each `Atom` is built on first read and kept."""
 
-    Built by exhausting all 2^horizon arrival paths (with merging of paths
-    that share every recorded value), so probabilities are polynomials in the
-    arrival rate, exact up to float round-off.
+    __slots__ = ("_law", "_built")
+
+    def __init__(self, law: "FiniteDimDistribution"):
+        self._law = law
+        self._built: Optional[list] = None
+
+    def __len__(self) -> int:
+        return len(self._law.counts)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(*i.indices(len(self))))
+        if self._built is None:
+            self._built = [None] * len(self)
+        atom = self._built[i]
+        if atom is None:
+            law = self._law
+            atom = self._built[i] = Atom(
+                values=tuple(SymMatrix(v) for v in law.values[i]),
+                horizon=law.horizon, multiplicity=_multiplicity(law.counts[i]))
+        return atom
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+
+def _multiplicity(row: np.ndarray) -> dict:
+    """Path-count row {open-loop steps: paths}, zero counts left out."""
+    return {p: int(c) for p, c in enumerate(row.tolist()) if c}
+
+
+@dataclass(frozen=True, eq=False)
+class FiniteDimDistribution:
+    """Exact joint law of the covariance at finitely many times, as two arrays.
+
+    Atom i of the law has the recorded values values[i], one (N, N) matrix
+    per recording time, so values has shape (n_atoms, len(times), N, N);
+    counts[i, p] is the number of the 2^horizon arrival paths with exactly
+    p open-loop steps that produce atom i (int64, shape (n_atoms,
+    horizon + 1)).  Probabilities are polynomials in the arrival rate,
+    exact up to float round-off.  Both arrays are read-only copies of the
+    constructor's arguments.  `atoms` is a lazy read-only sequence of
+    `Atom` values: its length costs nothing, and each `Atom` is built the
+    first time it is indexed or iterated and kept for later reads.
+
+    An event is either a callable on an atom's value tuple, evaluated atom
+    by atom through `atoms`, or a boolean mask of shape (n_atoms,) over the
+    atoms, e.g. ``pred.batch(law.values[:, -1], p_star)``.  Both fold into
+    one path-count row, ``counts[mask].sum(0)``, and one polynomial.
     """
 
     times: tuple
     horizon: int
-    atoms: tuple
+    values: np.ndarray
+    counts: np.ndarray
+
+    def __post_init__(self):
+        # Copies, so later writes to the caller's arrays cannot reach the law.
+        values = np.array(self.values, dtype=float)
+        counts = np.array(self.counts, dtype=np.int64)
+        n = len(counts)
+        if values.ndim != 4 or values.shape[:2] != (n, len(self.times)):
+            raise ValueError(f"values must have shape ({n}, {len(self.times)}, N, N), "
+                             f"got {values.shape}")
+        if counts.shape != (n, self.horizon + 1):
+            raise ValueError(f"counts must have shape (n_atoms, {self.horizon + 1}), "
+                             f"got {counts.shape}")
+        values.flags.writeable = False
+        counts.flags.writeable = False
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "counts", counts)
+
+    @cached_property
+    def atoms(self) -> _AtomView:
+        return _AtomView(self)
 
     def total_probability(self, gamma_bar: float) -> float:
-        return float(sum(a.probability(gamma_bar) for a in self.atoms))
+        return poly_probability(_multiplicity(self.counts.sum(axis=0)),
+                                gamma_bar, self.horizon)
 
-    def event_multiplicities(self, event: Callable[[tuple], bool]) -> dict:
-        """Combined path counts of atoms whose value tuple satisfies the event."""
-        combined: dict = {}
-        for atom in self.atoms:
-            if event(atom.values):
-                for p, c in atom.multiplicity.items():
-                    combined[p] = combined.get(p, 0) + c
-        return combined
+    def event_multiplicities(self, event: Callable[[tuple], bool] | np.ndarray) -> dict:
+        """Combined path counts of the atoms in the event (callable or mask)."""
+        if callable(event):
+            mask = np.fromiter((bool(event(a.values)) for a in self.atoms),
+                               dtype=bool, count=len(self.counts))
+        else:
+            mask = np.asarray(event)
+            if mask.dtype != bool or mask.shape != (len(self.counts),):
+                raise ValueError(f"an event mask must be boolean with shape "
+                                 f"({len(self.counts)},), got {mask.dtype} {mask.shape}")
+        return _multiplicity(self.counts[mask].sum(axis=0))
 
-    def event_probability(self, event: Callable[[tuple], bool], gamma_bar: float) -> float:
+    def event_probability(self, event: Callable[[tuple], bool] | np.ndarray,
+                          gamma_bar: float) -> float:
         return poly_probability(self.event_multiplicities(event), gamma_bar, self.horizon)
 
-    def event_exponent(self, event: Callable[[tuple], bool]) -> float:
+    def event_exponent(self, event: Callable[[tuple], bool] | np.ndarray) -> float:
         mult = self.event_multiplicities(event)
         return min(mult) if mult else math.inf
 
@@ -461,14 +536,9 @@ def finite_dim_exact(m, p0: SymMatrix, times: Iterable[int]) -> FiniteDimDistrib
         else:
             rec_keys = keys[first, :rec_keys.shape[1]]
 
-    atoms = tuple(
-        Atom(values=tuple(SymMatrix(v) for v in rec), horizon=horizon,
-             multiplicity={p: int(c) for p, c in enumerate(row) if c})
-        for rec, row in zip(recorded, counts)
-    )
-    total_paths = sum(c for a in atoms for c in a.multiplicity.values())
+    total_paths = int(counts.sum())
     if total_paths != 2**horizon:
         raise RuntimeError(
             f"path accounting is off: {total_paths} paths for horizon {horizon}"
         )
-    return FiniteDimDistribution(times=times, horizon=horizon, atoms=atoms)
+    return FiniteDimDistribution(times=times, horizon=horizon, values=recorded, counts=counts)

@@ -144,11 +144,31 @@ def _next_level(m, values: np.ndarray, prefix=None):
     keys = _grid_keys(children)
     if prefix is not None:
         keys = np.concatenate([prefix, keys], axis=1)
-    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    return children, keys, first[order], rank[inverse.reshape(-1)]
+    first, inverse = _group_rows(keys)
+    return children, keys, first, inverse
+
+
+def _group_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group the equal rows of an int64 array (n, c), numbered by first occurrence.
+
+    Returns (first, inverse): first[g] is the row where group g first
+    occurs, increasing, and inverse[i] is the group of row i.  One stable
+    lexsort brings equal rows together with the earliest one leading its
+    run, and one compare of adjacent sorted rows marks where runs start.
+    """
+    n = len(keys)
+    order = np.lexsort(keys.T[::-1])
+    sorted_keys = keys[order]
+    starts = np.ones(n, dtype=bool)
+    starts[1:] = (sorted_keys[1:] != sorted_keys[:-1]).any(axis=1)
+    # A run's leader is its group's first occurrence; number the leaders in
+    # row order, then hand each row its run leader's number.
+    leaders = np.zeros(n, dtype=bool)
+    leaders[order[starts]] = True
+    number = np.cumsum(leaders) - 1
+    inverse = np.empty(n, dtype=np.intp)
+    inverse[order] = number[order[starts]][np.cumsum(starts) - 1]
+    return np.flatnonzero(leaders), inverse
 
 
 def support_set(m, max_len: int) -> list[SymMatrix]:

@@ -142,6 +142,18 @@ def popcounts(n_codes):
     return out
 
 
+def first_occurrence_groups(keys):
+    """Equal rows of an int array (n, c) grouped with np.unique(axis=0), the
+    groups renumbered by first occurrence: returns (first, inverse) with
+    first[g] the first row of group g, increasing, and inverse[i] the group
+    of row i."""
+    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return first[order], rank[inverse.reshape(-1)]
+
+
 def spectral_norms(stack):
     stack = np.asarray(stack, dtype=float)
     if stack.shape[-1] == 1:

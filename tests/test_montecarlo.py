@@ -330,3 +330,33 @@ class TestExceedance:
         a = exceedance_sup(scalar_model, 0.6, [50.0], 100, 100, seed=6)
         b = exceedance_sup(scalar_model, 0.6, [50.0], 100, 100, seed=6)
         assert a.sup_frequency == b.sup_frequency
+
+
+# A start of the wrong shape for the planar model, and a symmetric 2x2 with
+# eigenvalues -3 and 5.
+_BAD_P0 = {"1x1": SymMatrix(2.0), "non-PSD": SymMatrix([[1.0, 4.0], [4.0, 1.0]])}
+
+
+class TestStartingCovarianceChecked:
+    @pytest.mark.parametrize("bad", sorted(_BAD_P0))
+    def test_sample_invariant(self, planar, bad):
+        cfg = SimulationConfig(gamma_bar=0.7, n_samples=10, burn_in=5, p0=_BAD_P0[bad])
+        with pytest.raises(ValueError, match="P0"):
+            sample_invariant(planar, cfg)
+
+    @pytest.mark.parametrize("bad", sorted(_BAD_P0))
+    def test_simulate_rre(self, planar, bad):
+        cfg = SimulationConfig(gamma_bar=0.7, horizon=5, p0=_BAD_P0[bad])
+        with pytest.raises(ValueError, match="P0"):
+            simulate_rre(planar, cfg)
+
+    @pytest.mark.parametrize("bad", sorted(_BAD_P0))
+    def test_exceedance_sup(self, planar, bad):
+        with pytest.raises(ValueError, match="P0"):
+            exceedance_sup(planar, 0.7, [20.0], horizon=5, n_chains=10, seed=1,
+                           p0=_BAD_P0[bad])
+
+    @pytest.mark.parametrize("bad", sorted(_BAD_P0))
+    def test_tail_bound(self, planar, bad):
+        with pytest.raises(ValueError, match="P0"):
+            tail_bound(planar, 0.7, 20.0, p0=_BAD_P0[bad], kappa=10.0)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from riccati_mdp import (
     Atom,
     EventPredicate,
+    FiniteDimDistribution,
     GammaString,
     SymMatrix,
     SystemModel,
@@ -28,6 +29,7 @@ from riccati_mdp import (
 )
 
 import oracles
+from riccati_mdp.operators import _entry
 
 SQRT2 = oracles.SQRT2
 
@@ -453,6 +455,103 @@ class TestFiniteDim:
         assert len(dist.atoms) == 1
         assert dist.atoms[0].values[0] == scalar_pstar
         assert dist.atoms[0].multiplicity == {0: 1}
+
+
+@pytest.fixture
+def constructions(monkeypatch):
+    """Counts SymMatrix constructions while a test runs."""
+    built = []
+    original = SymMatrix.__init__
+
+    def counting(self, values):
+        built.append(1)
+        original(self, values)
+
+    monkeypatch.setattr(SymMatrix, "__init__", counting)
+    return built
+
+
+def _criterion_5_law(scalar_model, scalar_pstar):
+    law = finite_dim_exact(scalar_model, scalar_pstar, [12])
+    center = scalar_pstar.item()
+    m1 = 40.0 - center
+    event = lambda vals: abs(vals[-1].item() - center) >= m1
+    return law, event, np.abs(law.values[:, -1, 0, 0] - center) >= m1
+
+
+class TestLawArrays:
+    def test_planar_law_builds_no_matrices(self, planar, constructions):
+        _entry(planar, planar.P0, "P0")
+        at_entry = len(constructions)
+        law = finite_dim_exact(planar, planar.P0, (5, 12))
+        in_law = len(constructions) - at_entry
+        assert in_law == at_entry
+        assert len(law.atoms) == 4096
+        assert len(constructions) - at_entry == in_law
+
+    def test_array_shapes(self, planar):
+        law = finite_dim_exact(planar, planar.P0, (5, 12))
+        assert law.values.shape == (4096, 2, 2, 2)
+        assert law.counts.shape == (4096, 13) and law.counts.dtype == np.int64
+        assert int(law.counts.sum()) == 2 ** 12
+        assert not law.values.flags.writeable and not law.counts.flags.writeable
+
+    def test_atom_is_built_from_its_rows(self, planar):
+        law = finite_dim_exact(planar, planar.P0, (5, 12))
+        for i in (0, 1, 2047, 4095, -1):
+            want = Atom(values=tuple(SymMatrix(v) for v in law.values[i]),
+                        horizon=12,
+                        multiplicity={p: int(c) for p, c in enumerate(law.counts[i]) if c})
+            assert law.atoms[i] == want
+        assert law.atoms[2:4] == (law.atoms[2], law.atoms[3])
+        assert list(law.atoms)[-1] == law.atoms[-1]
+        with pytest.raises(IndexError):
+            law.atoms[4096]
+
+    def test_mask_and_callable_agree_on_criterion_5(self, scalar_model, scalar_pstar):
+        law, event, mask = _criterion_5_law(scalar_model, scalar_pstar)
+        assert mask.any() and not mask.all()
+        assert law.event_multiplicities(mask) == law.event_multiplicities(event)
+        assert law.event_exponent(mask) == law.event_exponent(event) == 4
+        for g in (1.0 - 1e-3, 1.0 - 1e-5):
+            assert law.event_probability(mask, g) == law.event_probability(event, g)
+
+    @pytest.mark.parametrize("thr", [4.0, 6.0, 12.0])
+    def test_mask_and_callable_agree_on_planar(self, planar, thr):
+        law = finite_dim_exact(planar, planar.P0, (5, 12))
+        pred = EventPredicate.norm_above(thr)
+        mask = pred.batch(law.values[:, 0]) & pred.batch(law.values[:, 1])
+        event = lambda vals: all(pred.matches(v) for v in vals)
+        assert mask.any() and not mask.all()
+        assert law.event_multiplicities(mask) == law.event_multiplicities(event)
+        assert law.event_probability(mask, 0.7) == law.event_probability(event, 0.7)
+
+    def test_callable_events_build_atoms_once(self, scalar_model, scalar_pstar, constructions):
+        law, event, _ = _criterion_5_law(scalar_model, scalar_pstar)
+        before = len(constructions)
+        first = law.event_probability(event, 1.0 - 1e-3)
+        built = len(constructions) - before
+        assert built == law.values.shape[0] * law.values.shape[1]
+        assert law.event_probability(event, 1.0 - 1e-5) < first
+        assert law.atoms[0] is law.atoms[0]
+        assert len(constructions) - before == built
+
+    def test_bad_masks_rejected(self, scalar_model, scalar_pstar):
+        law = finite_dim_exact(scalar_model, scalar_pstar, [3])
+        for bad in (np.ones(7, dtype=bool), np.ones(8, dtype=int), np.ones((8, 1), dtype=bool)):
+            with pytest.raises(ValueError, match="mask"):
+                law.event_multiplicities(bad)
+
+    def test_constructor_checks_shapes(self):
+        values, counts = np.zeros((3, 1, 2, 2)), np.ones((3, 3), dtype=np.int64)
+        law = FiniteDimDistribution(times=(2,), horizon=2, values=values, counts=counts)
+        assert len(law.atoms) == 3
+        values[0, 0, 0, 0], counts[0, 0] = 5.0, 7
+        assert law.values[0, 0, 0, 0] == 0.0 and law.counts[0, 0] == 1
+        with pytest.raises(ValueError, match="counts"):
+            FiniteDimDistribution(times=(2,), horizon=3, values=values, counts=counts)
+        with pytest.raises(ValueError, match="values"):
+            FiniteDimDistribution(times=(1, 2), horizon=2, values=values, counts=counts)
 
 
 class TestPolyHelpers:

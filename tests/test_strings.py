@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riccati_mdp import (
     GammaString,
@@ -21,6 +23,7 @@ from riccati_mdp import (
 )
 
 import oracles
+from riccati_mdp.strings import _group_rows
 
 
 class TestRunLength:
@@ -119,6 +122,48 @@ class TestValueKey:
         x = SymMatrix(1e6)
         y = SymMatrix(1e6 * (1.0 + 1e-12))
         assert value_key(x) == value_key(y)
+
+
+def _assert_groups_match_reference(keys):
+    first, inverse = _group_rows(keys)
+    ref_first, ref_inverse = oracles.first_occurrence_groups(keys)
+    assert np.array_equal(first, ref_first)
+    assert np.array_equal(inverse, ref_inverse)
+
+
+class TestGroupRows:
+    @pytest.mark.parametrize("keys", [
+        [[7, -3, 2]],                              # a single row
+        [[4, 4]] * 9,                              # all rows equal
+        [[i, -i, i % 3] for i in range(12)],       # all rows distinct
+        [[1, 2], [0, 5], [1, 2], [0, 5], [1, 3]],  # duplicates, interleaved
+        [[0, 8, 8], [1, 8, 8], [0, 8, 8]],         # a prefix column splits equal keys
+    ])
+    def test_cases(self, keys):
+        _assert_groups_match_reference(np.array(keys, dtype=np.int64))
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_unique_reference(self, data):
+        # Narrow entry ranges force duplicates; the widest makes them rare.
+        width = data.draw(st.integers(1, 5), label="key columns")
+        span = data.draw(st.sampled_from([0, 1, 3, 2**62]), label="entry span")
+        rows = data.draw(st.lists(
+            st.lists(st.integers(-span, span), min_size=width, max_size=width),
+            min_size=1, max_size=40), label="rows")
+        # Forced duplicates: copies of drawn rows, then a shuffle.
+        copies = data.draw(st.lists(st.integers(0, len(rows) - 1), max_size=20),
+                           label="copies")
+        rows = rows + [rows[i] for i in copies]
+        rows = [rows[i] for i in data.draw(st.permutations(range(len(rows))),
+                                           label="order")]
+        # Prefix columns, as the word tree's drop counts and recorded keys.
+        prefix_width = data.draw(st.integers(0, 3), label="prefix columns")
+        prefix = data.draw(st.lists(
+            st.lists(st.integers(0, 2), min_size=prefix_width, max_size=prefix_width),
+            min_size=len(rows), max_size=len(rows)), label="prefix")
+        keys = np.array([p + r for p, r in zip(prefix, rows)], dtype=np.int64)
+        _assert_groups_match_reference(keys)
 
 
 class TestSupportSet:
