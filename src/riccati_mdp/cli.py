@@ -3,8 +3,9 @@
 Subcommands: simulate, invariant, rate, exponent, reproduce-scalar, validate.
 Exit codes are stable: 0 success, 2 configuration problem (bad JSON, missing
 fields, inadmissible model), 3 numeric failure (non-convergence, degenerate
-fits).  All CSV floats are printed with 17 significant digits so files parse
-back losslessly and reruns with one seed are byte-identical.
+fits, a `LinAlgError` from the numeric core).  All CSV floats are printed
+with 17 significant digits so files parse back losslessly and reruns with one
+seed are byte-identical.
 """
 
 from __future__ import annotations
@@ -389,6 +390,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except np.linalg.LinAlgError as exc:
+        # A ValueError subclass, but raised by the numeric core, not by input.
+        print(f"numeric error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -19,6 +19,8 @@ DEFAULT_ORDER_TOL = 1e-9
 RANK_REL_TOL = 1e-8
 # Strict positive definiteness requires min eigenvalue above PD_TOL.
 PD_TOL = 1e-10
+# Relative band around a threshold inside which `norms_exceed` decomposes.
+SCREEN_MARGIN = 1e-10
 
 
 class SymMatrix:
@@ -105,6 +107,33 @@ def norms(p: np.ndarray) -> np.ndarray:
     if p.shape[-1] == 1:
         return np.abs(p[:, 0, 0])
     return np.max(np.abs(np.linalg.eigvalsh(p)), axis=-1)
+
+
+def norms_exceed(p: np.ndarray, thresholds, strict: bool = True) -> np.ndarray:
+    """Verdicts ``norms(p) > t`` (``>= t`` unless strict), shape (len(thresholds), k).
+
+    Equal to the direct comparison bit for bit, without decomposing most rows.
+    For a symmetric X, max_ij |X_ij| <= ||X|| <= max_i sum_j |X_ij|, so a row
+    whose lower bound clears t * (1 + SCREEN_MARGIN), or whose upper bound
+    stays under t * (1 - SCREEN_MARGIN), is decided.  The margin dwarfs the
+    round-off in the bounds and in `norms`.  Rows that straddle some
+    threshold, and rows with a non-finite entry, are decided by `norms` on
+    those rows alone.
+    """
+    t = np.asarray(thresholds, dtype=float)[:, None]
+    exceeds = np.greater if strict else np.greater_equal
+    k, n, _ = p.shape
+    if n == 1:
+        return exceeds(norms(p), t)
+    # Reduce over the chain axis: each row of the (N*N, k) copy is contiguous.
+    mag = np.abs(p.reshape(k, n * n).T, order="C")
+    lower = mag.max(axis=0)
+    upper = mag.reshape(n, n, k).sum(axis=1).max(axis=0)
+    verdict = (lower > t * (1.0 + SCREEN_MARGIN)) & np.isfinite(upper)
+    unsure = ~(verdict | (upper < t * (1.0 - SCREEN_MARGIN))).all(axis=0)
+    if unsure.any():
+        verdict[:, unsure] = exceeds(norms(p[unsure]), t)
+    return verdict
 
 
 def spectral_norm(x: SymMatrix) -> float:

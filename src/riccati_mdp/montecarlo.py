@@ -9,10 +9,17 @@ same seed.  A sweep over arrival rates derives per-gridpoint seed tuples as
 (master seed, gridpoint index).
 
 Chains advance in lockstep as a stacked array of covariances through the
-batched kernel `operators.step`; that keeps the per-step cost at a handful of
-vectorized operations even for tens of thousands of chains.  A chain that
-overflows is counted, never silently scored: the analytics below raise
-RuntimeError when any chain is non-finite.
+batched kernel `operators.step`, whose elementwise work runs on the flat
+(k, N*N) layout of the stack; that keeps the per-step cost at a handful of
+vectorized operations even for tens of thousands of chains.  Threshold
+events and the exceedance thresholds are decided by the screened test
+`linalg.norms_exceed`: the bounds max_ij |X_ij| <= ||X|| <= max_i sum_j |X_ij|
+settle every chain that clears a threshold by the relative margin
+`linalg.SCREEN_MARGIN`, and only chains inside that band, or with a
+non-finite entry, fall back to an eigendecomposition.  The verdicts equal
+comparing `linalg.norms` directly.  A chain that overflows is counted, never
+silently scored: the analytics below raise RuntimeError when any chain is
+non-finite.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .linalg import SymMatrix, as_sym, norms, spectral_norm
+from .linalg import SymMatrix, as_sym, norms, norms_exceed, spectral_norm
 from .operators import _entry, solve_dare, step, uniform_bound_kappa
 from .rate import EventPredicate
 
@@ -88,7 +95,10 @@ def _arrival_bits(seed_tuple: tuple, gamma_bar: float, n: int,
 
 def _count_non_finite(p: np.ndarray) -> int:
     """Chains in a stack (n, N, N) with any non-finite entry."""
-    return int(p.shape[0] - np.count_nonzero(np.isfinite(p).all(axis=(1, 2))))
+    finite = np.isfinite(p)
+    if finite.all():
+        return 0
+    return int(p.shape[0] - np.count_nonzero(finite.all(axis=(1, 2))))
 
 
 def _resolve_p0(m, p0: Optional[SymMatrix]) -> np.ndarray:
@@ -469,9 +479,9 @@ def exceedance_sup(m, gamma_bar: float, thresholds: Sequence[float], horizon: in
         if bad:
             raise RuntimeError(f"{bad} of {n_chains} chains went non-finite by step "
                                f"{t} (gamma_bar={gamma_bar})")
-        p_norms = norms(p)
-        for j, thr in enumerate(thresholds):
-            freq = float(np.mean(p_norms > thr))
+        over = norms_exceed(p, thresholds)
+        for j in range(len(thresholds)):
+            freq = float(np.mean(over[j]))
             if freq > sup_freq[j]:
                 sup_freq[j] = freq
                 arg_t[j] = t

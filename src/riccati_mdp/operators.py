@@ -17,6 +17,7 @@ fixed-point iteration (`solve_dare`).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,7 +64,7 @@ def riccati_step(m, x: SymMatrix) -> SymMatrix:
 
 
 def step(m, p: np.ndarray, bits: np.ndarray) -> np.ndarray:
-    """One update of a stack p of shape (k, N, N): f1 where bits is set, else f0.
+    """One update of a stack p of shape (k, N, N): f1 where bits (k,) is set, else f0.
 
     The one f0/f1 kernel: chains, word-tree levels and the single-matrix
     `lyapunov_step` / `riccati_step` all step through it.  Inputs are trusted
@@ -75,25 +76,35 @@ def step(m, p: np.ndarray, bits: np.ndarray) -> np.ndarray:
       stack.  A single output makes the correction the rank-one term
       u u^T / s with u = A P c^T and s = c P c^T + r; more outputs solve
       against the innovation matrix, and a singular one raises RuntimeError.
-      The result is re-symmetrized so round-off cannot drift across steps.
+      The elementwise work runs on the flat (k, N*N) layout of A P A^T,
+      whose rows are contiguous, instead of broadcasting over axes of
+      length N: Q is added in place, the rank-one term is built by two
+      index gathers, the correction is taken where bits is set, and one
+      gather of the transposed entries re-symmetrizes the result, so
+      round-off cannot drift across steps.  The matrix products and the
+      arithmetic per entry are those of the (k, N, N) form, so the result
+      is the same to the bit.
     """
     k, n, _ = p.shape
-    arrived = np.asarray(bits, dtype=bool)[:, None, None]
+    arrived = np.asarray(bits, dtype=bool)
     if n == 1 and m.dim_obs == 1:
         a, c = m.A[0, 0], m.C[0, 0]
         f0 = a * a * p + m.Q.a[0, 0]
         f1 = f0 - (a * c * p) ** 2 / (c * c * p + m.R.a[0, 0])
-        return np.where(arrived, f1, f0)
+        return np.where(arrived[:, None, None], f1, f0)
     a, c = m.A, m.C
+    row, col, mirror = _flat_index(n)
     flat = p.reshape(k * n, n)
     # Rows of A P, stacked: each P A^T transposed, since P = P^T.
     ap = (flat @ a.T).reshape(k, n, n).transpose(0, 2, 1).reshape(k * n, n)
-    f0 = (ap @ a.T).reshape(k, n, n) + m.Q.a
+    f0 = (ap @ a.T).reshape(k, n * n)
+    f0 += m.Q.a.reshape(-1)
     if m.dim_obs == 1:
         pc = (flat @ c[0]).reshape(k, n)
         u = pc @ a.T
         s = pc @ c[0] + m.R.a[0, 0]
-        corr = u[:, :, None] * (u / s[:, None])[:, None, :]
+        v = (u.reshape(-1) / s.repeat(n)).reshape(k, n)
+        corr = u[:, row] * v[:, col]
     else:
         axct = (ap @ c.T).reshape(k, n, -1)
         innov = c @ (flat @ c.T).reshape(k, n, -1) + m.R.a
@@ -104,8 +115,22 @@ def step(m, p: np.ndarray, bits: np.ndarray) -> np.ndarray:
             # Admissible models keep the innovation positive definite, so
             # this only happens once a chain has gone non-finite.
             raise RuntimeError(f"innovation matrix is singular: {exc}") from exc
-    out = np.where(arrived, f0 - corr, f0)
-    return (out + np.transpose(out, (0, 2, 1))) / 2.0
+        corr = corr.reshape(k, n * n)
+    out = np.where(arrived.repeat(n * n).reshape(k, n * n), f0 - corr, f0)
+    out += out[:, mirror]
+    # Halving by a product is exact, so it rounds as (X + X^T) / 2 does.
+    out *= 0.5
+    return out.reshape(k, n, n)
+
+
+@functools.lru_cache(maxsize=None)
+def _flat_index(n: int) -> tuple:
+    """Row, column and transposed position of each entry of a flat N*N matrix."""
+    row, col = np.divmod(np.arange(n * n), n)
+    mirror = col * n + row
+    for index in (row, col, mirror):
+        index.flags.writeable = False
+    return row, col, mirror
 
 
 def riccati_power(m, x: SymMatrix, t: int) -> SymMatrix:
@@ -160,8 +185,14 @@ def random_psd(rng: np.random.Generator, n: int, scale: float = 1.0) -> SymMatri
     The norm concentrates near `scale` but keeps sampling spread; exact
     normalization would collapse all 1x1 draws to the same value.
     """
+    return SymMatrix(_random_psd_array(rng, n, scale))
+
+
+def _random_psd_array(rng: np.random.Generator, n: int, scale: float) -> np.ndarray:
+    """The array `random_psd` wraps, symmetrized as `SymMatrix` would."""
     g = rng.standard_normal((n, n))
-    return SymMatrix(g @ g.T * (scale / n))
+    a = g @ g.T * (scale / n)
+    return (a + a.T) / 2.0
 
 
 def uniform_bound_kappa(m, trials: int = 50, seed: int = 0) -> float:
@@ -183,12 +214,12 @@ def uniform_bound_kappa(m, trials: int = 50, seed: int = 0) -> float:
 
     probes = [s * np.eye(n) for s in scales]
     for s in scales:
-        probes.extend(random_psd(rng, n, s).a for _ in range(trials))
+        probes.extend(_random_psd_array(rng, n, s) for _ in range(trials))
     kappa = 2.0 * float(n_step_norms(probes).max())
 
     for attempt in range(11):
         check_rng = np.random.default_rng(np.random.SeedSequence((seed, 10_000 + attempt)))
-        draws = [random_psd(check_rng, n, 10.0 ** check_rng.uniform(0.0, 4.0)).a
+        draws = [_random_psd_array(check_rng, n, 10.0 ** check_rng.uniform(0.0, 4.0))
                  for _ in range(200)]
         if np.all(n_step_norms(draws) <= kappa * (1.0 + DEFAULT_ORDER_TOL)):
             return kappa

@@ -33,9 +33,9 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .linalg import SymMatrix, as_sym, loewner_leq, norms, spectral_norm
+from .linalg import SymMatrix, as_sym, loewner_leq, norms_exceed, spectral_norm
 from .operators import _entry, lyapunov_step, random_psd, riccati_step, solve_dare, step
-from .strings import DEDUP_TOL, GammaString, _grid_keys, _next_level
+from .strings import DEDUP_TOL, GammaString, _fold_groups, _grid_keys, _next_level
 
 # Hard ceiling on enumeration depth: 2^26 states is the direct-search limit.
 K_CAP_LIMIT = 26
@@ -127,10 +127,9 @@ class EventPredicate:
             return np.array([bool(self.fn(SymMatrix(v))) for v in values], dtype=bool)
         if self.kind == "ballc":
             delta = values - self._resolved_center(p_star).a
-            dist = norms(delta)
-            return dist > self.threshold if self.open_ else dist >= self.threshold
+            return norms_exceed(delta, [self.threshold], strict=self.open_)[0]
         if self.kind == "norm-above":
-            return norms(values) > self.threshold
+            return norms_exceed(values, [self.threshold])[0]
         raise ValueError(f"unknown predicate kind {self.kind!r}")
 
 
@@ -272,10 +271,9 @@ def rate_over_set(m, pred: EventPredicate, k_cap: int = DEFAULT_K_CAP,
             codes = np.concatenate([codes, codes | (1 << (length - 1))])
             children, _keys, first, inverse = _next_level(m, level, prefix=zeros[:, None])
             examined += len(children)
-            fold = np.full(len(first), np.iinfo(np.int64).max)
-            np.minimum.at(fold, inverse, codes)
             # Each node keeps the value of its smallest word, and nodes whose
             # count already exceeds the best hit cannot lower it.
+            fold = _fold_groups(np.minimum, codes, first, inverse)
             winner = np.nonzero(codes == fold[inverse])[0]
             keep = winner[zeros[winner] <= best]
             level, zeros, codes = children[keep], zeros[keep], codes[keep]
@@ -526,8 +524,7 @@ def finite_dim_exact(m, p0: SymMatrix, times: Iterable[int]) -> FiniteDimDistrib
         # f0 children (the first half) add one open-loop step to every path.
         child_counts = np.concatenate([np.pad(counts, ((0, 0), (1, 0))),
                                        np.pad(counts, ((0, 0), (0, 1)))])
-        counts = np.zeros((len(first), t + 1), dtype=np.int64)
-        np.add.at(counts, inverse, child_counts)
+        counts = _fold_groups(np.add, child_counts, first, inverse)
         level = children[first]
         recorded = np.concatenate([recorded, recorded])[first]
         if t in timeset:

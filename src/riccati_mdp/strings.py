@@ -133,7 +133,7 @@ def _next_level(m, values: np.ndarray, prefix=None):
     columns `prefix` (one row per child) in front.  Returns (children,
     keys, first, inverse): children[first] holds one representative per
     group, in order of first occurrence, and inverse[i] is the group of
-    child i, ready for `np.<ufunc>.at` folds of per-child payloads.
+    child i, ready for `_fold_groups` of per-child payloads.
     Merging is sound because a word's future depends only on its value.
     Raises RuntimeError when a child goes non-finite.
     """
@@ -169,6 +169,22 @@ def _group_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     inverse = np.empty(n, dtype=np.intp)
     inverse[order] = number[order[starts]][np.cumsum(starts) - 1]
     return np.flatnonzero(leaders), inverse
+
+
+def _fold_groups(ufunc: np.ufunc, payload: np.ndarray, first: np.ndarray,
+                 inverse: np.ndarray) -> np.ndarray:
+    """Fold an integer payload's rows per group of `_group_rows` with ufunc.
+
+    Starts from each group's first row and folds in only the rows that
+    merged into an earlier one, so a level without merges costs one gather.
+    Integer addition and minimum do not depend on the order of the fold.
+    """
+    out = payload[first]
+    if len(first) < len(payload):
+        merged = np.ones(len(payload), dtype=bool)
+        merged[first] = False
+        ufunc.at(out, inverse[merged], payload[merged])
+    return out
 
 
 def support_set(m, max_len: int) -> list[SymMatrix]:

@@ -106,6 +106,41 @@ def make_batched_maps(a, c, q, r):
     return f0, f1
 
 
+def step_broadcast(m, p, bits):
+    """Frozen verbatim copy of `operators.step` before its elementwise work
+    moved to the flat (k, N*N) layout; the package kernel must equal it bit
+    for bit.  m is any object with the SystemModel fields."""
+    k, n, _ = p.shape
+    arrived = np.asarray(bits, dtype=bool)[:, None, None]
+    if n == 1 and m.dim_obs == 1:
+        a, c = m.A[0, 0], m.C[0, 0]
+        f0 = a * a * p + m.Q.a[0, 0]
+        f1 = f0 - (a * c * p) ** 2 / (c * c * p + m.R.a[0, 0])
+        return np.where(arrived, f1, f0)
+    a, c = m.A, m.C
+    flat = p.reshape(k * n, n)
+    # Rows of A P, stacked: each P A^T transposed, since P = P^T.
+    ap = (flat @ a.T).reshape(k, n, n).transpose(0, 2, 1).reshape(k * n, n)
+    f0 = (ap @ a.T).reshape(k, n, n) + m.Q.a
+    if m.dim_obs == 1:
+        pc = (flat @ c[0]).reshape(k, n)
+        u = pc @ a.T
+        s = pc @ c[0] + m.R.a[0, 0]
+        corr = u[:, :, None] * (u / s[:, None])[:, None, :]
+    else:
+        axct = (ap @ c.T).reshape(k, n, -1)
+        innov = c @ (flat @ c.T).reshape(k, n, -1) + m.R.a
+        innov = (innov + np.transpose(innov, (0, 2, 1))) / 2.0
+        try:
+            corr = axct @ np.linalg.solve(innov, np.transpose(axct, (0, 2, 1)))
+        except np.linalg.LinAlgError as exc:
+            # Admissible models keep the innovation positive definite, so
+            # this only happens once a chain has gone non-finite.
+            raise RuntimeError(f"innovation matrix is singular: {exc}") from exc
+    out = np.where(arrived, f0 - corr, f0)
+    return (out + np.transpose(out, (0, 2, 1))) / 2.0
+
+
 def value_tree(f0, f1, start, depth):
     """levels[L][i] is the value of the length-L word whose bit k (LSB first)
     is the map applied at position k from the innermost end. Appending a new

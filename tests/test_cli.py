@@ -213,6 +213,18 @@ class TestRate:
             assert cli.main(["rate", "--config", cfg]) == 0
             assert json.loads(capsys.readouterr().out)["exponent"] == expected
 
+    def test_linalg_failure_exits_three(self, tmp_path, monkeypatch, capsys):
+        # LinAlgError subclasses ValueError, yet it is a numeric failure.
+        def diverge(model):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(cli, "solve_dare", diverge)
+        cfg = write_config(tmp_path, model=PLANAR_MODEL, rate={"predicate": "ballc:20"})
+        assert cli.main(["rate", "--config", cfg]) == 3
+        err = capsys.readouterr().err
+        assert "numeric error: Eigenvalues did not converge" in err
+        assert "config error" not in err
+
     def test_bad_predicate(self, tmp_path, capsys):
         cfg = write_config(tmp_path, rate={"predicate": "ballc:0"})
         assert cli.main(["rate", "--config", cfg]) == 2

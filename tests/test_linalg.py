@@ -4,6 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from riccati_mdp import (
     SymMatrix,
     SystemModel,
@@ -15,6 +18,7 @@ from riccati_mdp import (
     spectral_norm,
     validate_system,
 )
+from riccati_mdp.linalg import norms, norms_exceed
 
 
 class TestSymMatrix:
@@ -92,6 +96,40 @@ class TestSpectralNorm:
             g = rng.standard_normal((n, n))
             x = SymMatrix(g + g.T)
             assert spectral_norm(x) == pytest.approx(np.linalg.norm(x.a, 2), rel=1e-12)
+
+
+class TestNormsExceed:
+    """The screened threshold test equals comparing `norms` directly."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 4), k=st.integers(1, 30), seed=st.integers(0, 2**32 - 1),
+           diagonal=st.booleans(), bad=st.sampled_from([None, math.inf, -math.inf, math.nan]))
+    def test_equals_direct_comparison(self, n, k, seed, diagonal, bad):
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((k, n, n))
+        if diagonal:
+            # The lower bound is then the norm itself.
+            g *= np.eye(n)
+        p = (g + np.transpose(g, (0, 2, 1))) * 10.0 ** rng.uniform(-6, 6, (k, 1, 1))
+        if bad is not None:
+            i, j = rng.integers(0, n, 2)
+            rows = rng.random(k) < 0.3
+            p[rows, i, j] = p[rows, j, i] = bad
+        try:
+            exact = norms(p)
+        except np.linalg.LinAlgError:
+            # LAPACK gives up on some non-finite rows; the screen must too.
+            with pytest.raises(np.linalg.LinAlgError):
+                norms_exceed(p, [1.0])
+            return
+        eps = np.finfo(float).eps
+        centers = exact[np.isfinite(exact)][:4].tolist() + [1.0, 0.0]
+        thresholds = [c * (1.0 + sign * j * eps)
+                      for c in centers for j in (0, 1, 2, 4) for sign in (1, -1)]
+        for strict in (True, False):
+            want = [exact > t if strict else exact >= t for t in thresholds]
+            assert np.array_equal(norms_exceed(p, thresholds, strict), np.array(want))
 
 
 class TestLoewnerOrder:

@@ -111,6 +111,25 @@ class TestBatchedKernel:
             assert np.abs(single.a - g).max() <= 1e-10 * s
 
 
+class TestFlatKernel:
+    """operators.step equals the broadcast kernel it replaced, bit for bit."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 3), outputs=st.integers(1, 2),
+           k=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
+    def test_equals_broadcast_kernel(self, n, outputs, k, seed):
+        rng = np.random.default_rng(seed)
+        m = _random_model(rng, n, outputs)
+        stack = np.stack([random_psd(rng, n, float(10.0 ** rng.uniform(-3, 4))).a
+                          for _ in range(k)])
+        # Three steps, so the kernel also runs on its own outputs.
+        for _ in range(3):
+            bits = rng.random(k) < rng.uniform()
+            got = step(m, stack, bits)
+            assert np.array_equal(got, oracles.step_broadcast(m, stack, bits))
+            stack = got
+
+
 class TestPowerProperty:
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 3), outputs=st.integers(1, 2),

@@ -23,7 +23,7 @@ from riccati_mdp import (
 )
 
 import oracles
-from riccati_mdp.strings import _group_rows
+from riccati_mdp.strings import _fold_groups, _group_rows
 
 
 class TestRunLength:
@@ -129,6 +129,12 @@ def _assert_groups_match_reference(keys):
     ref_first, ref_inverse = oracles.first_occurrence_groups(keys)
     assert np.array_equal(first, ref_first)
     assert np.array_equal(inverse, ref_inverse)
+    # Group folds agree with scatter folds from the identity on int64 payloads.
+    payload = np.arange(3 * len(keys), dtype=np.int64).reshape(len(keys), 3) ** 2 - 7
+    for ufunc, start in ((np.add, 0), (np.minimum, np.iinfo(np.int64).max)):
+        want = np.full((len(ref_first), 3), start, dtype=np.int64)
+        ufunc.at(want, ref_inverse, payload)
+        assert np.array_equal(_fold_groups(ufunc, payload, first, inverse), want)
 
 
 class TestGroupRows:
