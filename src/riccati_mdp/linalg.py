@@ -103,10 +103,19 @@ def as_sym(x) -> SymMatrix:
 
 
 def norms(p: np.ndarray) -> np.ndarray:
-    """2-norms (largest absolute eigenvalues) of an exactly symmetric stack (k, N, N)."""
+    """2-norms (largest absolute eigenvalues) of an exactly symmetric stack (k, N, N).
+
+    A matrix with a non-finite entry gets NaN: `eigvalsh` would skip a NaN
+    on the diagonal and return a finite, wrong norm, or give up on the stack.
+    """
+    finite = np.isfinite(p).all(axis=(1, 2))
     if p.shape[-1] == 1:
-        return np.abs(p[:, 0, 0])
-    return np.max(np.abs(np.linalg.eigvalsh(p)), axis=-1)
+        return np.where(finite, np.abs(p[:, 0, 0]), np.nan)
+    if finite.all():
+        return np.max(np.abs(np.linalg.eigvalsh(p)), axis=-1)
+    out = np.full(len(p), np.nan)
+    out[finite] = np.max(np.abs(np.linalg.eigvalsh(p[finite])), axis=-1)
+    return out
 
 
 def norms_exceed(p: np.ndarray, thresholds, strict: bool = True) -> np.ndarray:
@@ -118,7 +127,7 @@ def norms_exceed(p: np.ndarray, thresholds, strict: bool = True) -> np.ndarray:
     stays under t * (1 - SCREEN_MARGIN), is decided.  The margin dwarfs the
     round-off in the bounds and in `norms`.  Rows that straddle some
     threshold, and rows with a non-finite entry, are decided by `norms` on
-    those rows alone.
+    those rows alone; a NaN norm exceeds no threshold.
     """
     t = np.asarray(thresholds, dtype=float)[:, None]
     exceeds = np.greater if strict else np.greater_equal

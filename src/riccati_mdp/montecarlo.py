@@ -9,9 +9,13 @@ same seed.  A sweep over arrival rates derives per-gridpoint seed tuples as
 (master seed, gridpoint index).
 
 Chains advance in lockstep as a stacked array of covariances through the
-batched kernel `operators.step`, whose elementwise work runs on the flat
-(k, N*N) layout of the stack; that keeps the per-step cost at a handful of
-vectorized operations even for tens of thousands of chains.  Threshold
+batched kernel `operators.step`.  Its elementwise work runs on an
+entry-major (N, N, k) copy of the stack, so every pass runs along the chain
+axis; the products with C stay on the chain-major input, because BLAS
+accumulates a transposed matrix-vector product in another order and the
+bits must not move.  That keeps the per-step cost at a handful of
+vectorized operations even for tens of thousands of chains, and a step
+returns a (k, N, N) view of the entry-major result.  Threshold
 events and the exceedance thresholds are decided by the screened test
 `linalg.norms_exceed`: the bounds max_ij |X_ij| <= ||X|| <= max_i sum_j |X_ij|
 settle every chain that clears a threshold by the relative margin
@@ -411,8 +415,10 @@ def tail_bound(m, gamma_bar: float, threshold: float,
 
         sup_t P(||P_t|| > M) <= r^k(M) / ((1 - gamma_bar^N) * (1 - r)).
 
-    kappa defaults to the calibrated uniform bound of the model; pass an
-    explicit kappa to reproduce a bound computed elsewhere.
+    kappa defaults to the calibrated uniform bound of the model, which
+    `uniform_bound_kappa` caches per model and seed, so a bound per threshold
+    calibrates once; pass an explicit kappa to reproduce a bound computed
+    elsewhere.
     """
     if not 0.0 < gamma_bar < 1.0:
         raise ValueError(f"gamma_bar must be in (0, 1), got {gamma_bar}")

@@ -72,18 +72,23 @@ def step(m, p: np.ndarray, bits: np.ndarray) -> np.ndarray:
 
     * N = 1 with one output uses the closed forms a^2 x + q and
       a^2 x + q - (a c x)^2 / (c^2 x + r), elementwise.
-    * Otherwise A P A^T is two matrix products over the (k*N, N) reshaped
-      stack.  A single output makes the correction the rank-one term
-      u u^T / s with u = A P c^T and s = c P c^T + r; more outputs solve
-      against the innovation matrix, and a singular one raises RuntimeError.
-      The elementwise work runs on the flat (k, N*N) layout of A P A^T,
-      whose rows are contiguous, instead of broadcasting over axes of
-      length N: Q is added in place, the rank-one term is built by two
-      index gathers, the correction is taken where bits is set, and one
-      gather of the transposed entries re-symmetrizes the result, so
-      round-off cannot drift across steps.  The matrix products and the
-      arithmetic per entry are those of the (k, N, N) form, so the result
-      is the same to the bit.
+    * Otherwise the elementwise work runs on an entry-major (N, N, k) copy
+      of the stack, so each pass runs along the chain axis instead of in
+      inner loops of length N*N.  A @ (A P)^T gives A P A^T with its two
+      matrix indices swapped, so Q and the correction are added swapped as
+      well, and X + X^T, halved, leaves no trace of the swap while it keeps
+      round-off from drifting across steps.  A single output makes the
+      correction the rank-one term u u^T / s with u = A P c^T and
+      s = c P c^T + r; more outputs solve against the innovation matrix,
+      and a singular one raises RuntimeError.  The correction is taken
+      where bits is set.  The result is a (k, N, N) view of the entry-major
+      output.
+    * P c^T and c P c^T stay matrix-vector products on the chain-major
+      (k*N, N) input: BLAS accumulates a matrix-vector product in another
+      order when its operand is transposed, which would move the last bit
+      of the correction for a general c, while the matrix products agree
+      in both layouts.  So the result equals the broadcast (k, N, N) form
+      to the bit.
     """
     k, n, _ = p.shape
     arrived = np.asarray(bits, dtype=bool)
@@ -93,20 +98,19 @@ def step(m, p: np.ndarray, bits: np.ndarray) -> np.ndarray:
         f1 = f0 - (a * c * p) ** 2 / (c * c * p + m.R.a[0, 0])
         return np.where(arrived[:, None, None], f1, f0)
     a, c = m.A, m.C
-    row, col, mirror = _flat_index(n)
     flat = p.reshape(k * n, n)
-    # Rows of A P, stacked: each P A^T transposed, since P = P^T.
-    ap = (flat @ a.T).reshape(k, n, n).transpose(0, 2, 1).reshape(k * n, n)
-    f0 = (ap @ a.T).reshape(k, n * n)
-    f0 += m.Q.a.reshape(-1)
+    em = np.ascontiguousarray(p.transpose(1, 2, 0))
+    # ap[i, j] is (A P)[i, j] along the chains; f0[j, i] is (A P A^T)[i, j].
+    ap = (a @ em.reshape(n, n * k)).reshape(n, n, k)
+    f0 = (a @ ap.transpose(1, 0, 2).reshape(n, n * k)).reshape(n, n, k)
+    f0 += m.Q.a[:, :, None]
     if m.dim_obs == 1:
         pc = (flat @ c[0]).reshape(k, n)
-        u = pc @ a.T
+        u = a @ pc.T
         s = pc @ c[0] + m.R.a[0, 0]
-        v = (u.reshape(-1) / s.repeat(n)).reshape(k, n)
-        corr = u[:, row] * v[:, col]
+        corr = (u / s)[:, None, :] * u[None, :, :]
     else:
-        axct = (ap @ c.T).reshape(k, n, -1)
+        axct = (ap.transpose(2, 0, 1).reshape(k * n, n) @ c.T).reshape(k, n, -1)
         innov = c @ (flat @ c.T).reshape(k, n, -1) + m.R.a
         innov = (innov + np.transpose(innov, (0, 2, 1))) / 2.0
         try:
@@ -115,22 +119,12 @@ def step(m, p: np.ndarray, bits: np.ndarray) -> np.ndarray:
             # Admissible models keep the innovation positive definite, so
             # this only happens once a chain has gone non-finite.
             raise RuntimeError(f"innovation matrix is singular: {exc}") from exc
-        corr = corr.reshape(k, n * n)
-    out = np.where(arrived.repeat(n * n).reshape(k, n * n), f0 - corr, f0)
-    out += out[:, mirror]
+        corr = corr.transpose(2, 1, 0)
+    out = np.where(arrived, f0 - corr, f0)
+    out = out + out.transpose(1, 0, 2)
     # Halving by a product is exact, so it rounds as (X + X^T) / 2 does.
     out *= 0.5
-    return out.reshape(k, n, n)
-
-
-@functools.lru_cache(maxsize=None)
-def _flat_index(n: int) -> tuple:
-    """Row, column and transposed position of each entry of a flat N*N matrix."""
-    row, col = np.divmod(np.arange(n * n), n)
-    mirror = col * n + row
-    for index in (row, col, mirror):
-        index.flags.writeable = False
-    return row, col, mirror
+    return out.transpose(2, 0, 1)
 
 
 def riccati_power(m, x: SymMatrix, t: int) -> SymMatrix:
@@ -195,6 +189,7 @@ def _random_psd_array(rng: np.random.Generator, n: int, scale: float) -> np.ndar
     return (a + a.T) / 2.0
 
 
+@functools.lru_cache(maxsize=16)
 def uniform_bound_kappa(m, trials: int = 50, seed: int = 0) -> float:
     """Constant kappa with f1^N(X) <= kappa * I across operating scales.
 
@@ -202,6 +197,8 @@ def uniform_bound_kappa(m, trials: int = 50, seed: int = 0) -> float:
     draws at norms 1 through 1e4, then verifies the candidate against 200
     fresh random draws, doubling on any violation.  More than 10 doublings
     means the model does not admit a uniform N-step bound at these scales.
+    A `SystemModel` is immutable, so the result is cached per (model,
+    trials, seed): a `tail_bound` per threshold calibrates once.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")

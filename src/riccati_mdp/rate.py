@@ -121,8 +121,14 @@ class EventPredicate:
         return bool(self.batch(as_sym(x).a[None], p_star)[0])
 
     def batch(self, values: np.ndarray, p_star: Optional[SymMatrix] = None) -> np.ndarray:
-        """Vectorized membership over an exactly symmetric stack (n, N, N)."""
+        """Vectorized membership over an exactly symmetric stack (n, N, N).
+
+        Raises RuntimeError when a matrix has a non-finite entry, which has
+        no norm to score.
+        """
         values = np.asarray(values, dtype=float)
+        if not np.isfinite(values).all():
+            raise RuntimeError("event predicate evaluated on a non-finite matrix")
         if self.kind == "custom":
             return np.array([bool(self.fn(SymMatrix(v))) for v in values], dtype=bool)
         if self.kind == "ballc":

@@ -107,9 +107,11 @@ def make_batched_maps(a, c, q, r):
 
 
 def step_broadcast(m, p, bits):
-    """Frozen verbatim copy of `operators.step` before its elementwise work
-    moved to the flat (k, N*N) layout; the package kernel must equal it bit
-    for bit.  m is any object with the SystemModel fields."""
+    """Frozen verbatim copy of `operators.step` in its broadcast (k, N, N)
+    form.  The package kernel does its elementwise work on an entry-major
+    (N, N, k) copy but keeps the products with C on the chain-major input,
+    as here, and must equal this bit for bit.  m is any object with the
+    SystemModel fields."""
     k, n, _ = p.shape
     arrived = np.asarray(bits, dtype=bool)[:, None, None]
     if n == 1 and m.dim_obs == 1:

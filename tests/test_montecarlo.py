@@ -20,6 +20,8 @@ from riccati_mdp import (
 )
 
 import oracles
+from riccati_mdp import operators
+from riccati_mdp.models import planar_model
 from riccati_mdp.montecarlo import _arrival_bits
 
 
@@ -310,6 +312,22 @@ class TestTailBound:
             tail_bound(scalar_model, 1.0, 50.0)
         with pytest.raises(ValueError):
             tail_bound(scalar_model, 0.7, 0.0)
+
+    def test_kappa_calibrated_once_per_model(self, monkeypatch):
+        calls = []
+        n_step = operators._steps
+        monkeypatch.setattr(operators, "_steps",
+                            lambda *args: calls.append(args) or n_step(*args))
+        model = planar_model()  # a fresh model, so no earlier call is cached
+        thresholds = (20.0, 100.0, 1000.0)
+        got = [tail_bound(model, 0.7, thresholds[0]).to_dict()]
+        one_calibration = len(calls)
+        assert one_calibration and all(args[0] is model for args in calls)
+        got += [tail_bound(model, 0.7, thr).to_dict() for thr in thresholds[1:]]
+        assert len(calls) == one_calibration
+        kappa = operators.uniform_bound_kappa.__wrapped__(model)
+        assert got == [tail_bound(model, 0.7, thr, kappa=kappa).to_dict()
+                       for thr in thresholds]
 
     def test_to_dict_serializes(self, scalar_model):
         import json

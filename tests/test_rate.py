@@ -108,6 +108,16 @@ class TestEventPredicate:
         for v, f in zip(vals, want):
             assert f == pred.matches(SymMatrix(v), planar_pstar)
 
+    @pytest.mark.parametrize("spec", ["norm-above:1", "ballc:1", "ballc-open:1"])
+    def test_non_finite_matrix_raises(self, spec):
+        # A NaN on the diagonal once gave a finite norm (0.0 and sqrt(2)),
+        # so norm-above:1 scored the first stack as a miss.
+        pred = EventPredicate.from_spec(spec)
+        center = SymMatrix.identity(2)
+        for bad in ([[math.nan, 0.0], [0.0, 2.0]], [[math.nan, 1.0], [1.0, 2.0]]):
+            with pytest.raises(RuntimeError, match="non-finite"):
+                pred.batch(np.array([np.eye(2), bad]), center)
+
     def test_custom_spec_is_opaque_label(self):
         # Custom predicates serialize as a bare label; they cannot round-trip.
         assert EventPredicate.custom(lambda x: True).to_spec() == "custom"
