@@ -301,9 +301,10 @@ def cmd_reproduce_scalar(args) -> int:
     _write_csv(out / "fit.csv", _FIT_HEADER, [fit_row])
 
     # The fit's own samples: gridpoint j was drawn with seed (seed, j).  Each
-    # gridpoint's field and each sample size's cdf column are formatted once.
-    # Lines are streamed: joining all of them first raised peak memory by
-    # about 10 MB.
+    # sample size's cdf column is formatted once, into per-line templates
+    # "%.17g,<cdf>\n"; a gridpoint joins them with its gamma field and
+    # formats all its values with one %.  Gridpoints are written one at a
+    # time: one string for the whole file raised peak memory by about 10 MB.
     cdf_tails = {}
     with open(out / "cdf.csv", "w", newline="") as fh:
         fh.write("gamma_bar,x,cdf\n")
@@ -311,10 +312,9 @@ def cmd_reproduce_scalar(args) -> int:
             values = np.sort(dist.scalar_values())
             n = values.size
             if n not in cdf_tails:
-                cdf_tails[n] = ["%.17g\n" % (i / n) for i in range(1, n + 1)]
+                cdf_tails[n] = ["%%.17g,%.17g\n" % (i / n) for i in range(1, n + 1)]
             head = "%.17g," % gamma
-            fh.writelines(head + "%.17g," % x + tail
-                          for x, tail in zip(values.tolist(), cdf_tails[n]))
+            fh.write((head + head.join(cdf_tails[n])) % tuple(values.tolist()))
 
     lo, hi = SLOPE_WINDOW
     passed = lo <= fit.slope <= hi and exact == 4

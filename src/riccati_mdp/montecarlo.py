@@ -6,7 +6,20 @@ Dror and Shaw, "Parallel random numbers: as easy as 1, 2, 3", SC'11).  Chain
 i reads row i of an (n_chains, steps) block of uniforms, whatever the chain
 count, so the first chains of a large run are those of a small run with the
 same seed.  A sweep over arrival rates derives per-gridpoint seed tuples as
-(master seed, gridpoint index).
+(master seed, gridpoint index).  A uniform is the raw Philox word w as
+(w >> 11) * 2^-53, so u < gamma_bar exactly when w < ceil(gamma_bar * 2^53)
+* 2^11, and the bits are thresholded on the raw words.
+
+The block is read row-major, so the (2n, B) block of a stream is its (n, 2B)
+block reshaped: row i of the latter is rows 2i and 2i + 1 of the former.  The
+exponent fit's burn-in drift check, n chains run for 2B steps at gridpoint
+0's seed, uses this to share gridpoint 0's draw.  One (2n, B) block is drawn;
+its first n rows are gridpoint 0's chains, whose samples are the first n of
+2n by the prefix property.  Drift chain i starts from the result of row 2i,
+which for 2i < n is a gridpoint-0 sample already in hand and otherwise is
+stepped afresh, and then runs B more steps on row 2i + 1.  A chain's result
+does not depend on its position in the stack, so the drift equals a fresh
+run at 2B bit for bit.
 
 Chains advance in lockstep as a stacked array of covariances through the
 batched kernel `operators.step`.  Its elementwise work runs on an
@@ -29,7 +42,7 @@ non-finite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -80,20 +93,36 @@ def _as_seed_tuple(seed) -> tuple:
     return tuple(int(s) for s in seed)
 
 
+def _word_threshold(gamma_bar: float) -> int:
+    """T with (w >> 11) * 2^-53 < gamma_bar exactly when w < T, for gamma_bar in (0, 1).
+
+    For an integer j, j < gamma_bar * 2^53 (exact: a power-of-two scaling)
+    holds exactly when j < ceil(gamma_bar * 2^53); T is that bound times
+    2^11, below 2^64 since gamma_bar < 1.
+    """
+    return math.ceil(gamma_bar * 2.0**53) << 11
+
+
 def _arrival_bits(seed_tuple: tuple, gamma_bar: float, n: int,
                   steps: int) -> np.ndarray:
     """Arrival bits of n chains, shape (n, steps).
 
     The run's (n, steps) uniform block, drawn row by row from one Philox
-    stream keyed by the seed tuple and thresholded at gamma_bar.
+    stream keyed by the seed tuple and thresholded at gamma_bar in (0, 1].
+    The raw words are compared against `_word_threshold`, so the bits equal
+    `Generator(Philox(key)).random((n, steps)) < gamma_bar`.
     """
-    key = np.random.SeedSequence(seed_tuple).generate_state(2, np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
     bits = np.empty((n, steps), dtype=bool)
+    if gamma_bar >= 1.0:
+        bits.fill(True)
+        return bits
+    threshold = np.uint64(_word_threshold(gamma_bar))
+    key = np.random.SeedSequence(seed_tuple).generate_state(2, np.uint64)
+    words = np.random.Philox(key=key)
     flat = bits.reshape(-1)
     for i in range(0, flat.size, _DRAW_CHUNK):
         chunk = flat[i:i + _DRAW_CHUNK]
-        np.less(rng.random(chunk.size), gamma_bar, out=chunk)
+        np.less(words.random_raw(chunk.size), threshold, out=chunk)
     return bits
 
 
@@ -190,6 +219,20 @@ class EmpiricalDistribution:
             )
 
 
+def _run_chains(m, p: np.ndarray, bits: np.ndarray, rows=slice(None)) -> np.ndarray:
+    """Step the stack p once per column t of bits, reading bits[rows, t]."""
+    for t in range(bits.shape[1]):
+        p = step(m, p, bits[rows, t])
+    return p
+
+
+def _distribution(cfg: SimulationConfig, samples: np.ndarray) -> EmpiricalDistribution:
+    """cfg's sample, frozen read-only."""
+    samples.flags.writeable = False
+    return EmpiricalDistribution(samples=samples, gamma_bar=cfg.gamma_bar,
+                                 burn_in=cfg.burn_in, seed=cfg.seed_tuple())
+
+
 def sample_invariant(m, cfg: SimulationConfig) -> EmpiricalDistribution:
     """Draw n_samples chains for burn_in steps each; keep the final covariances.
 
@@ -197,15 +240,29 @@ def sample_invariant(m, cfg: SimulationConfig) -> EmpiricalDistribution:
     chains advances in lockstep through `operators.step`.
     """
     p0 = _resolve_p0(m, cfg.p0)
-    n, burn = cfg.n_samples, cfg.burn_in
-    seed_tuple = cfg.seed_tuple()
-    bits = _arrival_bits(seed_tuple, cfg.gamma_bar, n, burn)
-    samples = np.repeat(p0, n, axis=0)
-    for t in range(burn):
-        samples = step(m, samples, bits[:, t])
-    samples.flags.writeable = False
-    return EmpiricalDistribution(samples=samples, gamma_bar=cfg.gamma_bar,
-                                 burn_in=burn, seed=seed_tuple)
+    bits = _arrival_bits(cfg.seed_tuple(), cfg.gamma_bar, cfg.n_samples, cfg.burn_in)
+    return _distribution(cfg, _run_chains(m, np.repeat(p0, cfg.n_samples, axis=0), bits))
+
+
+def _sample_with_doubled_burn_in(
+        m, cfg: SimulationConfig) -> tuple[EmpiricalDistribution, EmpiricalDistribution]:
+    """cfg's sample and the same seed's sample at 2 * burn_in, from one draw.
+
+    One (2n, B) block is drawn: its first n rows give cfg's sample, and row
+    pair (2i, 2i + 1) is row i of the (n, 2B) block, so drift chain i is
+    sample 2i when 2i < n, else row 2i stepped from p0, stepped on through
+    row 2i + 1.  Each column is gathered from the block, never copied whole.
+    """
+    p0 = _resolve_p0(m, cfg.p0)
+    n = cfg.n_samples
+    bits = _arrival_bits(cfg.seed_tuple(), cfg.gamma_bar, 2 * n, cfg.burn_in)
+    start = np.repeat(p0, n, axis=0)
+    samples = _run_chains(m, start, bits[:n])
+    shared = (n + 1) // 2  # drift chains whose first half is a sample
+    rest = _run_chains(m, start[:n - shared], bits, slice(2 * shared, None, 2))
+    doubled = _run_chains(m, np.concatenate([samples[::2], rest]), bits, slice(1, None, 2))
+    return (_distribution(cfg, samples),
+            _distribution(replace(cfg, burn_in=2 * cfg.burn_in), doubled))
 
 
 def event_probability(d: EmpiricalDistribution, pred: EventPredicate,
@@ -274,6 +331,8 @@ def decay_exponent_fit(m, pred: EventPredicate, gamma_grid: Sequence[float],
     evaluates the event's hit fraction; the exponent is the slope of
     ln p_hat on ln(1 - gamma_bar) over the uncensored gridpoints.  At least
     three uncensored points are required for a slope with a standard error.
+    With check_burn_in, gridpoint 0 and its doubled burn-in share one draw
+    (see the module docstring); the drift is scored after the grid.
     """
     grid = tuple(float(g) for g in gamma_grid)
     if len(grid) < 3:
@@ -286,10 +345,14 @@ def decay_exponent_fit(m, pred: EventPredicate, gamma_grid: Sequence[float],
     p_star = solve_dare(m).p_star
 
     probs, hits, dists = [], [], []
+    doubled = None
     for j, g in enumerate(grid):
         cfg = SimulationConfig(gamma_bar=g, n_samples=n_samples, burn_in=burn_in,
                                seed=seed_tuple + (j,), p0=p0)
-        dist = sample_invariant(m, cfg)
+        if j == 0 and check_burn_in:
+            dist, doubled = _sample_with_doubled_burn_in(m, cfg)
+        else:
+            dist = sample_invariant(m, cfg)
         p_hat, k = event_probability(dist, pred, p_star)
         probs.append(p_hat)
         hits.append(k)
@@ -310,9 +373,8 @@ def decay_exponent_fit(m, pred: EventPredicate, gamma_grid: Sequence[float],
     stderr = float(np.sqrt(np.sum(resid**2) / dof / sxx)) if dof > 0 else math.nan
 
     drift = None
-    if check_burn_in:
-        drift = _burn_in_drift(m, pred, grid[0], probs[0], n_samples, burn_in,
-                               seed_tuple + (0,), p0, p_star)
+    if doubled is not None:
+        drift = _burn_in_drift(pred, probs[0], doubled, p_star)
 
     return ExponentFit(
         gamma_grid=grid, probs=tuple(probs), hits=tuple(hits), censored=censored,
@@ -322,19 +384,17 @@ def decay_exponent_fit(m, pred: EventPredicate, gamma_grid: Sequence[float],
     )
 
 
-def _burn_in_drift(m, pred, gamma_bar, p1, n_samples, burn_in, seed_tuple,
-                   p0, p_star) -> dict:
-    """Hit fraction p1 at burn_in vs a fresh run at 2 * burn_in, same seeds.
+def _burn_in_drift(pred, p1, doubled: EmpiricalDistribution, p_star) -> dict:
+    """Hit fraction p1 at burn_in vs the same chains run to 2 * burn_in.
 
-    p1 is the fit's own hit fraction at this gridpoint, which was sampled
-    with the same seed and config, so only the doubled burn-in is drawn.
+    p1 is the fit's own hit fraction at gridpoint 0; doubled is the sample
+    at twice its burn-in with the same seed.
     """
-    cfg = SimulationConfig(gamma_bar=gamma_bar, n_samples=n_samples,
-                           burn_in=2 * burn_in, seed=seed_tuple, p0=p0)
-    p2, _ = event_probability(sample_invariant(m, cfg), pred, p_star)
-    se = math.sqrt(p1 * (1 - p1) / n_samples + p2 * (1 - p2) / n_samples)
+    p2, _ = event_probability(doubled, pred, p_star)
+    n = doubled.n
+    se = math.sqrt(p1 * (1 - p1) / n + p2 * (1 - p2) / n)
     return {
-        "gamma_bar": gamma_bar,
+        "gamma_bar": doubled.gamma_bar,
         "p_at_burn_in": p1,
         "p_at_doubled_burn_in": p2,
         "combined_se": se,
@@ -468,10 +528,19 @@ def exceedance_sup(m, gamma_bar: float, thresholds: Sequence[float], horizon: in
 
     All thresholds share one batch of chains (chain i reads row i of the
     run's uniform block, as everywhere else), so the frequencies are
-    comparable across thresholds.  Raises RuntimeError when any chain went
-    non-finite within the horizon.
+    comparable across thresholds.  Raises ValueError unless gamma_bar is in
+    (0, 1], n_chains >= 1, horizon >= 0 and a threshold is given, and
+    RuntimeError when any chain went non-finite within the horizon.
     """
     thresholds = tuple(float(t) for t in thresholds)
+    if not 0.0 < gamma_bar <= 1.0:
+        raise ValueError(f"gamma_bar must be in (0, 1], got {gamma_bar}")
+    if n_chains < 1:
+        raise ValueError(f"n_chains must be >= 1, got {n_chains}")
+    if horizon < 0:
+        raise ValueError(f"horizon must be >= 0, got {horizon}")
+    if not thresholds:
+        raise ValueError("need at least one threshold")
     p0 = _resolve_p0(m, p0)
     seed_tuple = _as_seed_tuple(seed)
 

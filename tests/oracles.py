@@ -143,6 +143,37 @@ def step_broadcast(m, p, bits):
     return (out + np.transpose(out, (0, 2, 1))) / 2.0
 
 
+def class_a_screen_loop(m, p_star, trials, seed, tol=1e-9):
+    """Frozen copy of the one-trial-at-a-time class A screen of matrix models.
+
+    Each trial draws a log-uniform scale, then a PSD bump G G^T * scale / N,
+    adds it to f0(P*), and stops at the first X without f1(X) <= X, at the
+    `loewner_leq` tolerance lambda_min(X - f1(X)) >= -tol (1 + ||f1(X)|| +
+    ||X||).  The maps are `step_broadcast` on a batch of one, and every
+    symmetrization of the package's matrix wrapper is kept.  p_star is an
+    (N, N) array.  Returns the first counterexample, or None.
+    """
+    def sym(x):
+        return (x + x.T) / 2.0
+
+    def norm(x):
+        return float(np.max(np.abs(np.linalg.eigvalsh(x[None])), axis=-1)[0])
+
+    n = p_star.shape[0]
+    base = sym(step_broadcast(m, p_star[None], np.zeros(1, dtype=bool))[0])
+    rng = np.random.default_rng(seed)
+    for _ in range(trials):
+        scale = 10.0 ** rng.uniform(-3.0, 4.0)
+        g = rng.standard_normal((n, n))
+        bump = sym(sym(g @ g.T * (scale / n)))
+        x = sym(base + bump)
+        fx = sym(step_broadcast(m, x[None], np.ones(1, dtype=bool))[0])
+        lam_min = float(np.min(np.linalg.eigvalsh(x - fx)))
+        if not lam_min >= -tol * (1.0 + norm(fx) + norm(x)):
+            return x
+    return None
+
+
 def value_tree(f0, f1, start, depth):
     """levels[L][i] is the value of the length-L word whose bit k (LSB first)
     is the map applied at position k from the innermost end. Appending a new

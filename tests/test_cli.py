@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import json
 import math
@@ -285,8 +286,9 @@ class TestReproduceScalar:
         monkeypatch.setattr(montecarlo, "sample_invariant", counting)
         out = tmp_path / "study"
         assert cli.main(["reproduce-scalar", "--out", str(out)]) == 0
-        # One draw per gridpoint plus the doubled burn-in check.
-        assert len(calls) == len(cli.STUDY_GRID) + 1
+        # Gridpoint 0 and its doubled burn-in share one draw outside
+        # sample_invariant; every other gridpoint is drawn once.
+        assert len(calls) == len(cli.STUDY_GRID) - 1
         monkeypatch.undo()
 
         rows = np.loadtxt(out / "cdf.csv", delimiter=",", skiprows=1)
@@ -297,6 +299,18 @@ class TestReproduceScalar:
             block = rows[rows[:, 0] == gamma]
             assert np.array_equal(block[:, 1], fresh)
             assert np.array_equal(block[:, 2], np.arange(1, fresh.size + 1) / fresh.size)
+
+    def test_study_bytes_pinned(self, tmp_path):
+        # probs.csv and cdf.csv at the default seed 2024; fit.csv and
+        # summary.json go through a LAPACK least-squares fit and are not pinned.
+        out = tmp_path / "study"
+        assert cli.main(["reproduce-scalar", "--out", str(out)]) == 0
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in ("probs.csv", "cdf.csv")}
+        assert digests == {
+            "probs.csv": "921a75557ebbdcd3bf16f980c6bb3cd960e96e7dc12c277e1b550a2a5f9b67a1",
+            "cdf.csv": "07a5ee1a661d1c8ff5f4463c665e67cf29d0ce3979a78ee7478ddaef2b33d660",
+        }
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_chains_exit_three(self, tmp_path, monkeypatch, capsys):

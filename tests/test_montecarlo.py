@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from riccati_mdp import (
     EventPredicate,
@@ -22,7 +24,11 @@ from riccati_mdp import (
 import oracles
 from riccati_mdp import operators
 from riccati_mdp.models import planar_model
-from riccati_mdp.montecarlo import _arrival_bits
+from riccati_mdp.montecarlo import (
+    _arrival_bits,
+    _sample_with_doubled_burn_in,
+    _word_threshold,
+)
 
 
 class TestSimulationConfig:
@@ -142,6 +148,30 @@ class TestArrivalStreams:
         block = np.random.Generator(np.random.Philox(key=key)).random((20_000, 7))
         assert np.array_equal(_arrival_bits((11, 2), 0.5, 20_000, 7), block < 0.5)
 
+    @pytest.mark.parametrize("gamma", [
+        0.5, 0.75, 1.0, 1e-9, 1.0 - 2.0**-53,
+        float(np.nextafter(0.6, 0.0)), float(np.nextafter(0.6, 1.0))])
+    def test_raw_word_threshold_equals_uniforms(self, gamma):
+        # 300 chains x 250 steps = 75 000 draws cross the first 64K chunk.
+        key = np.random.SeedSequence((4, 1)).generate_state(2, np.uint64)
+        block = np.random.Generator(np.random.Philox(key=key)).random((300, 250))
+        assert np.array_equal(_arrival_bits((4, 1), gamma, 300, 250), block < gamma)
+
+    @given(st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True))
+    def test_word_threshold_is_exact(self, gamma):
+        # Words below T are exactly those whose uniform (w >> 11) * 2^-53
+        # lies below gamma: the top 53 bits of T - 1 map under it, of T not.
+        t = _word_threshold(gamma)
+        assert t % 2**11 == 0 and 0 < t < 2**64
+        j = t >> 11
+        assert (j - 1) * 2.0**-53 < gamma <= j * 2.0**-53
+
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_doubled_rows_are_the_reshaped_block(self, n):
+        # Row i of the (n, 2B) block is rows 2i and 2i + 1 of the (2n, B) one.
+        tall = _arrival_bits((8, 0), 0.6, 2 * n, 9)
+        assert np.array_equal(tall.reshape(n, 18), _arrival_bits((8, 0), 0.6, n, 18))
+
     @pytest.mark.parametrize("model_name", ["scalar", "planar"])
     def test_chain_i_reads_row_i_whatever_the_count(self, model_name, request):
         model = request.getfixturevalue(
@@ -226,6 +256,39 @@ class TestDecayFit:
             decay_exponent_fit(scalar_model, pred, [0.5, 0.6, 1.0], 10, 5, 0)
         with pytest.raises(ValueError):
             decay_exponent_fit(scalar_model, pred, [0.5, 0.6, 0.6], 10, 5, 0)
+
+    @pytest.mark.parametrize("n", [301, 300])
+    @pytest.mark.parametrize("model_name", ["scalar", "planar"])
+    @pytest.mark.parametrize("explicit_p0", [False, True])
+    def test_drift_shares_gridpoint_zero_draw(self, model_name, n, explicit_p0, request):
+        model = request.getfixturevalue(
+            {"scalar": "scalar_model", "planar": "planar"}[model_name])
+        p_star = request.getfixturevalue(
+            {"scalar": "scalar_pstar", "planar": "planar_pstar"}[model_name])
+        p0 = model.P0 * 3.0 if explicit_p0 else None
+        burn = 30
+        cfg = SimulationConfig(gamma_bar=0.55, n_samples=n, burn_in=burn,
+                               seed=(17, 0), p0=p0)
+        doubled_cfg = SimulationConfig(gamma_bar=0.55, n_samples=n, burn_in=2 * burn,
+                                       seed=(17, 0), p0=p0)
+        fresh, fresh_doubled = sample_invariant(model, cfg), sample_invariant(model, doubled_cfg)
+        shared, doubled = _sample_with_doubled_burn_in(model, cfg)
+        assert np.array_equal(shared.samples, fresh.samples)
+        assert np.array_equal(doubled.samples, fresh_doubled.samples)
+        assert (doubled.burn_in, doubled.seed) == (2 * burn, (17, 0))
+
+        pred = EventPredicate.ball_complement(
+            {"scalar": 30.0, "planar": 15.0}[model_name])
+        grid = [0.55, 0.6, 0.65]
+        fit = decay_exponent_fit(model, pred, grid, n, burn, 17, p0=p0)
+        plain = decay_exponent_fit(model, pred, grid, n, burn, 17, p0=p0,
+                                   check_burn_in=False)
+        for a, b in zip(fit.distributions, plain.distributions):
+            assert np.array_equal(a.samples, b.samples)
+        assert fit.probs == plain.probs
+        p2, _ = event_probability(fresh_doubled, pred, p_star)
+        assert fit.burn_in_drift["p_at_doubled_burn_in"] == p2
+        assert fit.burn_in_drift["p_at_burn_in"] == fit.probs[0]
 
     def test_to_dict_round_trips_to_json(self, scalar_model, scalar_pstar):
         import json
@@ -348,6 +411,18 @@ class TestExceedance:
         a = exceedance_sup(scalar_model, 0.6, [50.0], 100, 100, seed=6)
         b = exceedance_sup(scalar_model, 0.6, [50.0], 100, 100, seed=6)
         assert a.sup_frequency == b.sup_frequency
+
+    @pytest.mark.parametrize("kwargs", [
+        {"gamma_bar": 1.5}, {"gamma_bar": 0.0}, {"gamma_bar": -1.0},
+        {"gamma_bar": math.nan}, {"n_chains": 0}, {"horizon": -1},
+        {"thresholds": []},
+    ], ids=["gamma-above-one", "gamma-zero", "gamma-negative", "gamma-nan",
+            "no-chains", "negative-horizon", "no-thresholds"])
+    def test_rejects_bad_inputs(self, scalar_model, kwargs):
+        args = {"gamma_bar": 0.6, "thresholds": [50.0], "horizon": 20,
+                "n_chains": 10, "seed": 6, **kwargs}
+        with pytest.raises(ValueError):
+            exceedance_sup(scalar_model, **args)
 
 
 # A start of the wrong shape for the planar model, and a symmetric 2x2 with

@@ -188,6 +188,31 @@ class TestClassA:
         base = lyapunov_step(planar, planar_pstar)
         assert loewner_leq(base, report.counterexample)
 
+    def test_equals_one_trial_loop(self):
+        # Verdict and first counterexample equal those of the frozen loop on
+        # random N = 2 and N = 3 models, passing and failing ones alike.  No
+        # random N = 3 model here passes, so 1.3 I with C = I (f1 acts on
+        # the eigenvalues of X, which stay above those of P*) stands in.
+        models = [SystemModel(A=1.3 * np.eye(3), C=np.eye(3), Q=np.eye(3), R=np.eye(3),
+                              P0=np.eye(3))]
+        for seed in range(30):
+            for n in (2, 3):
+                models.append(_random_model(np.random.default_rng(seed), n, 1 + seed % 2))
+        verdicts = set()
+        for seed, m in enumerate(models):
+            if validate_system(m).passed:
+                p_star = solve_dare(m).p_star
+                report = is_class_A(m, trials=120, seed=seed, p_star=p_star)
+                want = oracles.class_a_screen_loop(m, p_star.a, 120, seed)
+                assert report.passed == (want is None)
+                if want is not None:
+                    assert np.array_equal(report.counterexample.a, want)
+                verdicts.add((m.dim_state, report.passed))
+        assert verdicts == {(2, True), (2, False), (3, True), (3, False)}
+
+    def test_no_trials_passes(self, planar):
+        assert is_class_A(planar, trials=0).passed
+
 
 class TestRateOverSet:
     def test_study_event(self, scalar_model, scalar_pstar):
