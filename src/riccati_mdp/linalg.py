@@ -145,6 +145,23 @@ def norms_exceed(p: np.ndarray, thresholds, strict: bool = True) -> np.ndarray:
     return verdict
 
 
+def step_exceeds(delta: np.ndarray, x: np.ndarray, tol: float) -> bool:
+    """Verdict ``norms(delta) > tol * (1 + norms(x))`` for two batches of one.
+
+    Equal to the direct comparison bit for bit, and decided by the entry
+    bounds of `norms_exceed` wherever they clear the relative band
+    SCREEN_MARGIN: max_ij |delta_ij| above tol * (1 + max row sum of |x|)
+    exceeds, and a max row sum of |delta| below tol * (1 + max_ij |x_ij|)
+    does not.  Only a step inside the band takes the two norms.
+    """
+    mag_d, mag_x = np.abs(delta[0]), np.abs(x[0])
+    if mag_d.max() > tol * (1.0 + mag_x.sum(axis=1).max()) * (1.0 + SCREEN_MARGIN):
+        return True
+    if mag_d.sum(axis=1).max() < tol * (1.0 + mag_x.max()) * (1.0 - SCREEN_MARGIN):
+        return False
+    return bool(norms(delta)[0] > tol * (1.0 + norms(x)[0]))
+
+
 def spectral_norm(x: SymMatrix) -> float:
     """Spectral norm of one matrix: `norms` on a batch of one."""
     return float(norms(as_sym(x).a[None])[0])

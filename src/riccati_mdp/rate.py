@@ -13,7 +13,13 @@ random N=2 and N=3 models a longer word with fewer drops hits G), so the
 exponent is an upper bound; `is_class_A` screens for the property.  The
 word tree is walked one level (word length) at a time on stacked arrays,
 merging words whose values coincide on a rounding grid (property-tested
-against a brute force walk without merging).
+against a brute force walk without merging).  Inside the cut, a node is
+pruned when no word of the remaining length can carry it into G: any word
+of length l sends X to at most f0^l(X), whose norm is at most
+||X|| ||A^l||^2 + ||f0^l(0)||, so for `ballc` (radius above the center's
+top eigenvalue) and `norm-above` sets a node below a per-length norm floor
+cannot hit (`_reach_floor`; `custom` sets are never pruned).  On the
+planar model this leaves two children per level instead of 2^L.
 
 Exact finite-time distributions are also computed here: for small horizons
 the chain's law is a finite mixture over arrival paths, and each atom's
@@ -42,6 +48,9 @@ K_CAP_LIMIT = 26
 DEFAULT_K_CAP = 22
 IOTA_CAP = 1000
 FINITE_DIM_MAX_HORIZON = 22
+# Relative slack of the reach bound (`_reach_floor`): a node is pruned only
+# when its bound stays this share below the set, far above DEDUP_TOL.
+REACH_MARGIN = 1e-6
 
 
 class EventPredicate:
@@ -225,7 +234,8 @@ class VariationalSolution:
     infimum).  minimizer is a witness word attaining the exponent, with ties
     broken toward the lexicographically smallest bit tuple.
     strings_examined is the number of open-loop orbit points tested plus the
-    number of word-tree nodes generated (every child, before merging).
+    number of word-tree nodes generated (every child, before merging), so
+    it falls when the reach bound prunes nodes that cannot hit the set.
     """
 
     exponent: float
@@ -254,10 +264,15 @@ def rate_over_set(m, pred: EventPredicate, k_cap: int = DEFAULT_K_CAP,
     with one open-loop count whose values share a rounding-grid cell
     generate identical futures, so each level keeps one node per distinct
     (count, value), carrying the smallest word that reaches it; nodes whose
-    count exceeds the best hit so far are pruned.  The exponent is the
-    smallest count of a hit, and the witness is the lexicographically
-    smallest hitting word with that count (0 sorts before 1, shorter before
-    longer at equal prefix).
+    count exceeds the best hit so far are pruned.  Once a level's hits are
+    scored, nodes whose norm lies below the reach floor for the k_G - L
+    steps left are pruned as well (`_reach_floor`): no word of that length
+    can carry them into the set.  This applies to `norm-above` sets and to
+    `ballc` sets whose radius exceeds the center's top eigenvalue, and it
+    changes only `strings_examined`.  The exponent is the smallest count of
+    a hit, and the witness is the lexicographically smallest hitting word
+    with that count (0 sorts before 1, shorter before longer at equal
+    prefix).
     """
     if not 0 <= k_cap <= K_CAP_LIMIT:
         raise ValueError(f"k_cap must be in [0, {K_CAP_LIMIT}], got {k_cap}")
@@ -269,6 +284,7 @@ def rate_over_set(m, pred: EventPredicate, k_cap: int = DEFAULT_K_CAP,
         return VariationalSolution(exponent=math.inf, minimizer=None,
                                    k_gamma=math.inf, strings_examined=k_cap + 1)
     examined = k_gamma + 2  # the orbit points tested, then the tree root
+    floor = _reach_floor(m, pred, p_star, k_gamma)
 
     # A node is a distinct (open-loop count, value) pair carrying the smallest
     # word code that reaches it.  Codes put the outermost bit in the most
@@ -282,7 +298,8 @@ def rate_over_set(m, pred: EventPredicate, k_cap: int = DEFAULT_K_CAP,
         if length:
             zeros = np.concatenate([zeros + 1, zeros])
             codes = np.concatenate([codes, codes | (1 << (length - 1))])
-            children, _keys, first, inverse = _next_level(m, level, prefix=zeros[:, None])
+            children, _keys, sizes, first, inverse = _next_level(
+                m, level, prefix=zeros[:, None])
             examined += len(children)
             # Each node keeps the value of its smallest word, and nodes whose
             # count already exceeds the best hit cannot lower it.
@@ -295,6 +312,13 @@ def rate_over_set(m, pred: EventPredicate, k_cap: int = DEFAULT_K_CAP,
             best = min(best, int(zeros[hit].min()))
             hits += [(int(z), _code_bits(int(c), length))
                      for z, c in zip(zeros[hit], codes[hit])]
+        if floor is not None and 0 < length < k_gamma:
+            # Nodes too small to reach the set in the steps left cannot hit;
+            # a NaN floor or size compares false and keeps the node.
+            live = ~(sizes[keep] < floor[k_gamma - length - 1])
+            if not live.any():
+                break
+            level, zeros, codes = level[live], zeros[live], codes[live]
 
     if not hits:
         raise RuntimeError(
@@ -304,6 +328,52 @@ def rate_over_set(m, pred: EventPredicate, k_cap: int = DEFAULT_K_CAP,
     witness = GammaString(bits=min(bits for z, bits in hits if z == best), initial=p_star)
     return VariationalSolution(exponent=best, minimizer=witness,
                                k_gamma=k_gamma, strings_examined=examined)
+
+
+def _reach_floor(m, pred: EventPredicate, p_star: SymMatrix,
+                 depth: int) -> Optional[np.ndarray]:
+    """Least norm from which a word of length <= R can hit the set, for R = 1..depth.
+
+    f1 <= f0 and f0 is monotone, so any word of length l sends X to at most
+    f0^l(X) = A^l X A^l' + f0^l(0), whose norm is at most ||X|| g_l + s_l
+    with g_l = ||A^l||^2 and s_l = ||f0^l(0)||.  Word values are PSD, so a
+    `norm-above:b` hit needs that sum above b, and a `ballc:M` hit with
+    center c and M > lambda_max(c) needs it at or above M + lambda_min(c):
+    Y - c has no eigenvalue below -lambda_max(c).  So a node X can hit
+    within R steps only if ||X|| >= min over l <= R of (t - s_l) / g_l,
+    the floor returned at index R - 1, with the target t lowered by the
+    relative REACH_MARGIN.  An l whose g_l or s_l is not finite, or whose
+    g_l is zero or below REACH_MARGIN * ||A||^(2 l) (A^l near nilpotent,
+    where float steps can stand far above the exact bound), gives a floor
+    of -inf, which prunes nothing.  Returns None for `custom` predicates
+    and for a ball no larger than the center's top eigenvalue.
+    """
+    if pred.kind == "norm-above":
+        target = pred.threshold
+    elif pred.kind == "ballc":
+        spectrum = np.linalg.eigvalsh(pred._resolved_center(p_star).a)
+        if not pred.threshold * (1.0 - REACH_MARGIN) > spectrum[-1]:
+            return None
+        target = pred.threshold + spectrum[0]
+    else:
+        return None
+    target *= 1.0 - REACH_MARGIN
+    n = m.dim_state
+    powers = np.empty((depth + 1, n, n))
+    powers[0] = np.eye(n)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for l in range(depth):
+            powers[l + 1] = m.A @ powers[l]
+        gram = powers[1:] @ powers[1:].transpose(0, 2, 1)
+        # f0^l(0) = sum_{j < l} A^j Q A^j'.
+        drift = np.cumsum(powers[:-1] @ m.Q.a @ powers[:-1].transpose(0, 2, 1), axis=0)
+        g = norms((gram + gram.transpose(0, 2, 1)) / 2.0)
+        s = norms((drift + drift.transpose(0, 2, 1)) / 2.0)
+        # A non-finite entry gives a NaN norm, which fails both comparisons.
+        usable = ((g > 0.0) & (g >= REACH_MARGIN * g[0] ** np.arange(1, depth + 1))
+                  & np.isfinite(s))
+        floor = np.where(usable, (target - s) / g, -np.inf)
+    return np.minimum.accumulate(floor)
 
 
 def _code_bits(code: int, length: int) -> tuple:
@@ -532,7 +602,7 @@ def finite_dim_exact(m, p0: SymMatrix, times: Iterable[int]) -> FiniteDimDistrib
     counts = np.ones((1, 1), dtype=np.int64)
 
     for t in range(1, horizon + 1):
-        children, keys, first, inverse = _next_level(
+        children, keys, _, first, inverse = _next_level(
             m, level, prefix=np.concatenate([rec_keys, rec_keys]))
         # f0 children (the first half) add one open-loop step to every path.
         child_counts = np.concatenate([np.pad(counts, ((0, 0), (1, 0))),

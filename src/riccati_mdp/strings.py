@@ -109,13 +109,14 @@ def eval_string(m, r: GammaString) -> StringValue:
     return StringValue(value=SymMatrix(p[0]), pi=pi_count(r), source=r)
 
 
-def _grid_keys(values: np.ndarray) -> np.ndarray:
+def _grid_keys(values: np.ndarray, sizes=None) -> np.ndarray:
     """Rounding keys of a stack (k, N, N), one int64 row of N*N entries each.
 
     Entries are snapped to a grid of pitch DEDUP_TOL * (1 + ||X||), so two
-    values sharing a key agree entrywise to within one grid cell.
+    values sharing a key agree entrywise to within one grid cell.  sizes,
+    when given, holds the `norms` of the stack.
     """
-    pitch = DEDUP_TOL * (1.0 + norms(values))
+    pitch = DEDUP_TOL * (1.0 + (norms(values) if sizes is None else sizes))
     return np.round(values / pitch[:, None, None]).astype(np.int64).reshape(len(values), -1)
 
 
@@ -131,9 +132,10 @@ def _next_level(m, values: np.ndarray, prefix=None):
     images, so child i < k extends node i by a 0 bit and child k + i by a 1
     bit.  Children are grouped by their `_grid_keys`, with optional extra key
     columns `prefix` (one row per child) in front.  Returns (children,
-    keys, first, inverse): children[first] holds one representative per
-    group, in order of first occurrence, and inverse[i] is the group of
-    child i, ready for `_fold_groups` of per-child payloads.
+    keys, sizes, first, inverse): sizes holds the children's spectral
+    norms, which set the grid pitch; children[first] holds one
+    representative per group, in order of first occurrence, and inverse[i]
+    is the group of child i, ready for `_fold_groups` of per-child payloads.
     Merging is sound because a word's future depends only on its value.
     Raises RuntimeError when a child goes non-finite.
     """
@@ -141,11 +143,12 @@ def _next_level(m, values: np.ndarray, prefix=None):
     children = step(m, np.concatenate([values, values]), np.arange(2 * k) >= k)
     if not np.isfinite(children).all():
         raise RuntimeError("a word-tree level went non-finite")
-    keys = _grid_keys(children)
+    sizes = norms(children)
+    keys = _grid_keys(children, sizes)
     if prefix is not None:
         keys = np.concatenate([prefix, keys], axis=1)
     first, inverse = _group_rows(keys)
-    return children, keys, first, inverse
+    return children, keys, sizes, first, inverse
 
 
 def _group_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -206,7 +209,7 @@ def support_set(m, max_len: int) -> list[SymMatrix]:
     seen = {_grid_keys(level)[0].tobytes()}
     found = [level]
     for _ in range(max_len):
-        children, keys, first, _ = _next_level(m, level)
+        children, keys, _, first, _ = _next_level(m, level)
         fresh = [i for i in first if keys[i].tobytes() not in seen]
         if not fresh:
             break

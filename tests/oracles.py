@@ -174,6 +174,95 @@ def class_a_screen_loop(m, p_star, trials, seed, tol=1e-9):
     return None
 
 
+def solve_dare_unscreened(m, tol=1e-12, max_iterations=100_000):
+    """Frozen copy of `operators.solve_dare` before its stop test was
+    screened: both spectral norms are taken at every iteration.  Steps with
+    `step_broadcast`; m is any object with the SystemModel fields.  Returns
+    (p_star array, iterations, residual); raises RuntimeError as the
+    package does."""
+    arrived = np.ones(1, dtype=bool)
+    x = np.asarray(m.Q.a, dtype=float)[None]
+    for k in range(1, max_iterations + 1):
+        x_next = step_broadcast(m, x, arrived)
+        if not np.isfinite(x_next).all():
+            raise RuntimeError(f"fixed-point iteration went non-finite at iteration {k}")
+        if spectral_norms(x_next - x)[0] <= tol * (1.0 + spectral_norms(x)[0]):
+            residual = float(spectral_norms(step_broadcast(m, x_next, arrived) - x_next)[0])
+            return x_next[0], k, residual
+        x = x_next
+    raise RuntimeError(f"fixed-point iteration did not converge in {max_iterations} iterations")
+
+
+# Relative pitch of the package's rounding grid (strings.DEDUP_TOL), restated.
+DEDUP_TOL = 1e-9
+
+
+def rate_walk_unpruned(m, hit, p_star, k_cap):
+    """Frozen copy of the merged word-tree walk of `rate.rate_over_set`
+    before nodes were pruned by their reach, on `step_broadcast` and
+    `first_occurrence_groups`.
+
+    hit(stack) -> mask tests membership of a stack (k, N, N); p_star is an
+    (N, N) array.  The walk finds k_G, the open-loop orbit's entry step
+    into the set, then walks every word of length <= k_G one level at a
+    time.  Children whose drop count and rounding-grid key
+    (DEDUP_TOL * (1 + ||X||) pitch) coincide merge into the one with the
+    smallest word code, and nodes with more drops than the best hit so far
+    are dropped.  Returns (exponent, witness bits, k_G, strings_examined),
+    with (inf, None, inf, k_cap + 1) when the orbit misses the set within
+    k_cap steps.
+    """
+    p_star = np.asarray(p_star, dtype=float)
+    zeros1 = np.zeros(1, dtype=bool)
+    orbit, k_gamma = p_star[None], math.inf
+    for k in range(k_cap + 1):
+        if not np.isfinite(orbit).all():
+            raise RuntimeError(f"the open-loop orbit went non-finite at step {k}")
+        if hit(orbit)[0]:
+            k_gamma = k
+            break
+        orbit = step_broadcast(m, orbit, zeros1)
+    if not math.isfinite(k_gamma):
+        return math.inf, None, math.inf, k_cap + 1
+    examined = k_gamma + 2
+
+    level = p_star[None]
+    zeros = np.zeros(1, dtype=np.int64)
+    codes = np.zeros(1, dtype=np.int64)
+    best = math.inf
+    hits = []
+    for length in range(k_gamma + 1):
+        if length:
+            zeros = np.concatenate([zeros + 1, zeros])
+            codes = np.concatenate([codes, codes | (1 << (length - 1))])
+            k = len(level)
+            children = step_broadcast(m, np.concatenate([level, level]),
+                                      np.arange(2 * k) >= k)
+            if not np.isfinite(children).all():
+                raise RuntimeError("a word-tree level went non-finite")
+            pitch = DEDUP_TOL * (1.0 + spectral_norms(children))
+            keys = np.round(children / pitch[:, None, None]).astype(np.int64)
+            keys = np.concatenate([zeros[:, None], keys.reshape(2 * k, -1)], axis=1)
+            first, inverse = first_occurrence_groups(keys)
+            examined += len(children)
+            fold = codes[first]
+            merged = np.ones(len(codes), dtype=bool)
+            merged[first] = False
+            np.minimum.at(fold, inverse[merged], codes[merged])
+            winner = np.nonzero(codes == fold[inverse])[0]
+            keep = winner[zeros[winner] <= best]
+            level, zeros, codes = children[keep], zeros[keep], codes[keep]
+        found = hit(level)
+        if found.any():
+            best = min(best, int(zeros[found].min()))
+            hits += [(int(z), tuple((int(c) >> (length - 1 - i)) & 1 for i in range(length)))
+                     for z, c in zip(zeros[found], codes[found])]
+    if not hits:
+        raise RuntimeError("exhausted the enumeration without a hit")
+    witness = min(bits for z, bits in hits if z == best)
+    return best, witness, k_gamma, examined
+
+
 def value_tree(f0, f1, start, depth):
     """levels[L][i] is the value of the length-L word whose bit k (LSB first)
     is the map applied at position k from the innermost end. Appending a new

@@ -347,6 +347,37 @@ class TestEntryPoint:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
 
+    def test_parser_built_once(self, tmp_path, monkeypatch, capsys):
+        built = []
+        fresh = cli.build_parser
+
+        def counting():
+            built.append(1)
+            return fresh()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        cli._parser.cache_clear()
+        try:
+            cfg = write_config(tmp_path)
+            for _ in range(3):
+                assert cli.main(["validate", "--config", cfg]) == 0
+            with pytest.raises(SystemExit):
+                cli.main(["rate"])
+        finally:
+            cli._parser.cache_clear()
+        assert len(built) == 1
+
+    @pytest.mark.parametrize("argv", [["rate"], [], ["nope"], ["rate", "--seed", "x"]])
+    def test_usage_errors_match_a_fresh_parser(self, argv, capsys):
+        # The shared parser exits and reports as a parser built per call does.
+        results = []
+        for parse in (cli.main, cli.build_parser().parse_args):
+            with pytest.raises(SystemExit) as exc:
+                parse(argv)
+            results.append((exc.value.code, capsys.readouterr().err))
+        assert results[0] == results[1]
+        assert results[0][0] == 2
+
     def test_help_lists_subcommands(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["--help"])

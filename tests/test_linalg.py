@@ -18,7 +18,7 @@ from riccati_mdp import (
     spectral_norm,
     validate_system,
 )
-from riccati_mdp.linalg import norms, norms_exceed
+from riccati_mdp.linalg import norms, norms_exceed, step_exceeds
 
 
 class TestSymMatrix:
@@ -140,6 +140,29 @@ class TestNormsExceed:
         for strict in (True, False):
             want = [exact > t if strict else exact >= t for t in thresholds]
             assert np.array_equal(norms_exceed(p, thresholds, strict), np.array(want))
+
+
+class TestStepExceeds:
+    """The screened stop test of `solve_dare` equals comparing `norms` directly."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1), diagonal=st.booleans(),
+           ratio=st.sampled_from([0.0, 1e-3, 0.5, 1.0, 2.0, 1e3]),
+           ulps=st.integers(-4, 4))
+    def test_equals_direct_comparison(self, n, seed, diagonal, ratio, ulps):
+        rng = np.random.default_rng(seed)
+        g, h = rng.standard_normal((2, n, n))
+        if diagonal:
+            # The entry bounds are then the norm itself.
+            g *= np.eye(n)
+        x = (h + h.T)[None] * 10.0 ** rng.uniform(-3, 6)
+        tol = 10.0 ** rng.uniform(-14, -1)
+        delta = (g + g.T)[None]
+        # Scale delta so its norm sits `ulps` steps from the cut, times ratio.
+        cut = tol * (1.0 + norms(x)[0])
+        delta *= ratio * cut / norms(delta)[0] * (1.0 + ulps * np.finfo(float).eps)
+        want = bool(norms(delta)[0] > tol * (1.0 + norms(x)[0]))
+        assert step_exceeds(delta, x, tol) is want
 
 
 class TestLoewnerOrder:

@@ -204,6 +204,25 @@ class TestDare:
         b = solve_dare(planar)
         assert a.p_star == b.p_star and a.iterations == b.iterations
 
+    def test_equals_unscreened_solve(self):
+        # The stop test decided from entry bounds changes no bit of the
+        # fixed point, the iteration count or the residual.
+        models = _models()
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            n, outputs = 1 + seed % 3, 1 + seed // 3 % 2
+            g, h = rng.standard_normal((n, n)), rng.standard_normal((outputs, outputs))
+            models.append(SystemModel(
+                A=rng.standard_normal((n, n)) * rng.uniform(0.3, 1.5),
+                C=rng.standard_normal((outputs, n)), Q=g @ g.T + 0.1 * np.eye(n),
+                R=h @ h.T + 0.5 * np.eye(outputs), P0=np.eye(n)))
+        for m in models:
+            if validate_system(m).passed:
+                sol = solve_dare(m)
+                p_star, iterations, residual = oracles.solve_dare_unscreened(m)
+                assert np.array_equal(sol.p_star.a, p_star)
+                assert (sol.iterations, sol.residual) == (iterations, residual)
+
 
 class TestOrderProperties:
     """Monotonicity and domination of the two update maps on random inputs."""

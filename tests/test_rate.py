@@ -29,7 +29,9 @@ from riccati_mdp import (
 )
 
 import oracles
+from riccati_mdp import rate
 from riccati_mdp.operators import _entry
+from riccati_mdp.rate import DEFAULT_K_CAP
 
 SQRT2 = oracles.SQRT2
 
@@ -332,6 +334,159 @@ class TestRateAgainstBruteForce:
         assert got == oracles.lightest_hitting_word(levels[:k + 1], hit)
         if is_class_A(m).passed:
             assert got == oracles.lightest_hitting_word(levels, hit)
+
+
+def _orbit(m, p_star, k):
+    """P*, f0(P*), ..., f0^k(P*) as one stack, from the oracle maps."""
+    f0, _f1 = oracles.make_batched_maps(m.A, m.C, m.Q.a, m.R.a)
+    orbit = [p_star[None]]
+    for _ in range(k):
+        orbit.append(f0(orbit[-1]))
+    return np.concatenate(orbit)
+
+
+def _unpruned(m, pred, p_star, k_cap=DEFAULT_K_CAP):
+    return oracles.rate_walk_unpruned(m, lambda v: pred.batch(v, p_star), p_star.a, k_cap)
+
+
+def _answer(sol):
+    return (sol.exponent, None if sol.minimizer is None else sol.minimizer.bits, sol.k_gamma)
+
+
+class TestReachPruning:
+    """The walk pruned by the open-loop reach bound against the frozen unpruned walk.
+
+    Exponent, witness and k_Gamma must be those of the unpruned walk, which
+    generates every child the pruned walk generates and more.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 3), outputs=st.integers(1, 2), k=st.integers(1, 6),
+           frac=st.floats(0.1, 0.9), seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(["ballc", "ballc-open", "norm-above", "custom"]))
+    def test_equals_unpruned_walk(self, n, outputs, k, frac, seed, kind):
+        m = _random_model(np.random.default_rng(seed), n, outputs)
+        assume(validate_system(m).passed)
+        p_star = solve_dare(m).p_star
+        orbit = _orbit(m, p_star.a, k)
+        # Band of the orbit's entry step k, in the predicate's own measure.
+        size = oracles.spectral_norms(orbit if kind == "norm-above" else orbit - p_star.a)
+        assume(size[k] - size[k - 1] > 1e-6 * size[k])
+        level = float(size[k - 1] + frac * (size[k] - size[k - 1]))
+        if kind == "custom":
+            pred = EventPredicate.custom(lambda x: spectral_norm(x - p_star) >= level)
+        else:
+            pred = EventPredicate.from_spec(f"{kind}:{level!r}")
+        sol = rate_over_set(m, pred, p_star=p_star)
+        want = _unpruned(m, pred, p_star)
+        assert _answer(sol) == want[:3]
+        assert sol.strings_examined <= want[3]
+        if kind == "custom":
+            assert sol.strings_examined == want[3]
+
+    @pytest.mark.parametrize("k", range(6, 14))
+    def test_planar_node_count_pinned(self, planar, planar_pstar, k):
+        # On the bench's planar radii only the open-loop word survives each
+        # level: k + 2 orbit points and root, then two children per level.
+        size = oracles.spectral_norms(_orbit(planar, planar_pstar.a, k) - planar_pstar.a)
+        for frac in (0.1, 0.5, 0.9):
+            pred = EventPredicate.ball_complement(size[k - 1] + frac * (size[k] - size[k - 1]))
+            sol = rate_over_set(planar, pred, p_star=planar_pstar)
+            assert (sol.exponent, sol.minimizer.to_text(), sol.k_gamma) == (k, f"0^{k}", k)
+            assert sol.strings_examined == 3 * k + 2
+            want = _unpruned(planar, pred, planar_pstar)
+            assert _answer(sol) == want[:3] and want[3] == k + 2 ** (k + 1)
+
+    def test_ball_inside_center_spectrum_is_unpruned(self, planar, planar_pstar):
+        # A hit can then lie below the center, which the bound does not see.
+        # Past it, the bound prunes around an explicit center too.
+        center = SymMatrix(10.0 * np.eye(2))
+        for radius in (9.0, 10.0, 12.0):
+            pred = EventPredicate.ball_complement(radius, center=center)
+            assert (rate._reach_floor(planar, pred, planar_pstar, 8) is None) == (radius <= 10.0)
+            sol = rate_over_set(planar, pred, p_star=planar_pstar)
+            want = _unpruned(planar, pred, planar_pstar)
+            assert _answer(sol) == want[:3] and sol.k_gamma == 3
+            assert (sol.strings_examined == want[3]) == (radius <= 10.0)
+
+    def test_small_balls_walk_unpruned(self):
+        # Default center: a radius at or below lambda_max(P*) prunes nothing.
+        cases = 0
+        for seed in range(40):
+            m = _random_model(np.random.default_rng(seed), 2 + seed % 2, 1 + seed // 2 % 2)
+            if not validate_system(m).passed:
+                continue
+            p_star = solve_dare(m).p_star
+            size = oracles.spectral_norms(_orbit(m, p_star.a, 6) - p_star.a)
+            top = np.linalg.eigvalsh(p_star.a)[-1]
+            for k in range(2, 7):
+                radius = (size[k - 1] + size[k]) / 2.0
+                if radius <= top:
+                    pred = EventPredicate.ball_complement(radius)
+                    sol = rate_over_set(m, pred, p_star=p_star)
+                    want = _unpruned(m, pred, p_star)
+                    assert _answer(sol) == want[:3] and sol.strings_examined == want[3]
+                    cases += 1
+        assert cases >= 5
+
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_bound_never_prunes(self):
+        # A^4 overflows, so ||A^l||^2 is inf from l = 2 on and NaN (inf * 0)
+        # from l = 4 on: only l = 1 may prune.
+        big = SystemModel(A=np.diag([1e100, 0.5]), C=np.eye(2), Q=np.eye(2),
+                          R=np.eye(2), P0=np.eye(2))
+        pred = EventPredicate.norm_above(10.0)
+        floor = rate._reach_floor(big, pred, SymMatrix(np.eye(2)), 6)
+        assert np.isfinite(floor[0]) and (floor[1:] == -np.inf).all()
+        # ||f0^l(0)|| overflows from l = 2 on while ||A^l||^2 does not.
+        heavy = SystemModel(A=np.diag([1e5, 0.5]), C=np.eye(2), Q=1e300 * np.eye(2),
+                            R=np.eye(2), P0=np.eye(2))
+        floor = rate._reach_floor(heavy, EventPredicate.norm_above(1e308),
+                                  SymMatrix(np.eye(2)), 6)
+        assert np.isfinite(floor[0]) and (floor[1:] == -np.inf).all()
+        # The shift in other coordinates: float powers from l = 3 on are
+        # round-off (about 1e-16), far below REACH_MARGIN * ||A||^(2 l).
+        basis = np.array([[1.0, 0.3, 0.2], [0.1, 1.0, 0.4], [0.3, 0.2, 1.0]])
+        near = SystemModel(A=basis @ np.eye(3, k=1) @ np.linalg.inv(basis),
+                           C=[[1.0, 1.0, 1.0]], Q=np.eye(3), R=1.0, P0=np.eye(3))
+        floor = rate._reach_floor(near, pred, SymMatrix(np.eye(3)), 6)
+        assert np.isfinite(floor[:2]).all() and (floor[2:] == -np.inf).all()
+        # A = 0 sends every X to Q in one step: ||A^l|| = 0 from l = 1 on.
+        zero = SystemModel(A=0.0, C=1.0, Q=1.0, R=1.0, P0=1.0)
+        assert (rate._reach_floor(zero, pred, SymMatrix(1.0), 6) == -np.inf).all()
+        # The 3 x 3 shift is nilpotent: ||A^l|| = 0 from l = 3 on, and its
+        # orbit moves for two steps.
+        nil = SystemModel(A=np.eye(3, k=1), C=[[1.0, 1.0, 1.0]], Q=np.eye(3),
+                          R=1.0, P0=np.eye(3))
+        assert validate_system(nil).passed
+        p_star = solve_dare(nil).p_star
+        floor = rate._reach_floor(nil, pred, p_star, 6)
+        assert np.isfinite(floor[:2]).all() and (floor[2:] == -np.inf).all()
+        orbit = _orbit(nil, p_star.a, 2)
+        ball = oracles.spectral_norms(orbit - p_star.a)
+        size = oracles.spectral_norms(orbit)
+        for k in (1, 2):
+            for pred in (EventPredicate.ball_complement((ball[k - 1] + ball[k]) / 2.0),
+                         EventPredicate.norm_above((size[k - 1] + size[k]) / 2.0)):
+                sol = rate_over_set(nil, pred, p_star=p_star)
+                want = _unpruned(nil, pred, p_star)
+                assert _answer(sol) == want[:3] and sol.strings_examined <= want[3]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("radius, message", [
+        # f0 multiplies by 1e40, so the orbit overflows at step 8 ...
+        (1e300, "the open-loop orbit went non-finite at step 8"),
+        # ... and f1 squares about 1e180 near the orbit's entry at step 5.
+        (1e200, "a word-tree level went non-finite"),
+    ])
+    def test_overflow_model_raises_as_before(self, radius, message):
+        m = SystemModel(A=1e20, C=1.0, Q=1.0, R=1.0, P0=1.0)
+        pred = EventPredicate.ball_complement(radius)
+        with pytest.raises(RuntimeError) as want:
+            _unpruned(m, pred, m.P0)
+        with pytest.raises(RuntimeError) as got:
+            rate_over_set(m, pred, p_star=m.P0)
+        assert str(got.value) == str(want.value) == message
 
 
 class TestRatePoint:
