@@ -284,7 +284,8 @@ def rate_over_set(m, pred: EventPredicate, k_cap: int = DEFAULT_K_CAP,
         return VariationalSolution(exponent=math.inf, minimizer=None,
                                    k_gamma=math.inf, strings_examined=k_cap + 1)
     examined = k_gamma + 2  # the orbit points tested, then the tree root
-    floor = _reach_floor(m, pred, p_star, k_gamma)
+    # The floor for R steps left is read at levels 0 < L = k_G - R < k_G.
+    floor = _reach_floor(m, pred, p_star, k_gamma - 1)
 
     # A node is a distinct (open-loop count, value) pair carrying the smallest
     # word code that reaches it.  Codes put the outermost bit in the most
@@ -345,9 +346,12 @@ def _reach_floor(m, pred: EventPredicate, p_star: SymMatrix,
     relative REACH_MARGIN.  An l whose g_l or s_l is not finite, or whose
     g_l is zero or below REACH_MARGIN * ||A||^(2 l) (A^l near nilpotent,
     where float steps can stand far above the exact bound), gives a floor
-    of -inf, which prunes nothing.  Returns None for `custom` predicates
-    and for a ball no larger than the center's top eigenvalue.
+    of -inf, which prunes nothing.  Returns None for `custom` predicates,
+    for a ball no larger than the center's top eigenvalue, and for
+    depth < 1 (an entry step of 0 or 1 leaves no level to prune).
     """
+    if depth < 1:
+        return None
     if pred.kind == "norm-above":
         target = pred.threshold
     elif pred.kind == "ballc":

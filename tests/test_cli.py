@@ -174,6 +174,13 @@ class TestRate:
         assert payload["method"] == "enumeration"
         assert isinstance(payload["exponent"], int)
 
+    def test_event_holding_at_p_star(self, tmp_path, capsys):
+        # P* is already in the set: exponent 0 and the empty word.
+        cfg = write_config(tmp_path, model=PLANAR_MODEL, rate={"predicate": "norm-above:0"})
+        assert cli.main(["rate", "--config", cfg]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["exponent"], payload["k_gamma"], payload["minimizer"]) == (0, 0, "")
+
     def test_out_writes_json_artifact(self, tmp_path, capsys):
         cfg = write_config(tmp_path, rate={"predicate": "ballc:5.0"})
         out = tmp_path / "r"

@@ -429,6 +429,26 @@ class TestReachPruning:
                     cases += 1
         assert cases >= 5
 
+    def test_entry_at_steps_0_and_1(self, planar, planar_pstar, scalar_model, scalar_pstar):
+        # P* in the set, or entering at step 1, leaves no level to prune.
+        for m, p_star in ((planar, planar_pstar), (scalar_model, scalar_pstar)):
+            size = oracles.spectral_norms(_orbit(m, p_star.a, 1))
+            top = size[0]
+            preds = [EventPredicate.norm_above(0.0),
+                     EventPredicate.from_spec("norm-above:0"),
+                     EventPredicate.norm_above((size[0] + size[1]) / 2.0)]
+            # Explicit centers with ||P* - c|| >= M > lambda_max(c).
+            for scale in (0.0, 0.1):
+                center = SymMatrix(scale * np.eye(m.dim_state))
+                preds.append(EventPredicate.ball_complement(top / 2.0, center=center))
+            for pred in preds:
+                sol = rate_over_set(m, pred, p_star=p_star)
+                want = _unpruned(m, pred, p_star)
+                assert _answer(sol) == want[:3] and sol.strings_examined == want[3]
+            assert [rate_over_set(m, p, p_star=p_star).k_gamma for p in preds] == [0, 0, 1, 0, 0]
+            assert rate_over_set(m, preds[0], p_star=p_star).minimizer.bits == ()
+            assert rate._reach_floor(m, preds[0], p_star, 0) is None
+
     @pytest.mark.filterwarnings("error")
     def test_non_finite_bound_never_prunes(self):
         # A^4 overflows, so ||A^l||^2 is inf from l = 2 on and NaN (inf * 0)
