@@ -13,10 +13,8 @@ from .linalg import (
     ValidationCheck,
     ValidationReport,
     as_sym,
-    controllability_rank,
     loewner_leq,
     observability_rank,
-    psd_sqrt,
     spectral_norm,
     validate_system,
 )
@@ -24,7 +22,6 @@ from .operators import (
     DareSolution,
     lyapunov_step,
     random_psd,
-    riccati_power,
     riccati_step,
     solve_dare,
     uniform_bound_kappa,
@@ -38,7 +35,6 @@ from .strings import (
     parse_run_length,
     pi_count,
     string_upper_bound,
-    support_set,
     value_key,
 )
 from .rate import (
@@ -46,16 +42,13 @@ from .rate import (
     ClassAReport,
     EventPredicate,
     FiniteDimDistribution,
-    LscReport,
     VariationalSolution,
     finite_dim_exact,
     iota,
     iota_plus,
     is_class_A,
-    lsc_check,
     poly_probability,
     rate_over_set,
-    rate_point,
 )
 from .montecarlo import (
     EmpiricalDistribution,
@@ -83,16 +76,13 @@ __all__ = [
     "ValidationCheck",
     "ValidationReport",
     "as_sym",
-    "controllability_rank",
     "loewner_leq",
     "observability_rank",
-    "psd_sqrt",
     "spectral_norm",
     "validate_system",
     "DareSolution",
     "lyapunov_step",
     "random_psd",
-    "riccati_power",
     "riccati_step",
     "solve_dare",
     "uniform_bound_kappa",
@@ -104,22 +94,18 @@ __all__ = [
     "parse_run_length",
     "pi_count",
     "string_upper_bound",
-    "support_set",
     "value_key",
     "Atom",
     "ClassAReport",
     "EventPredicate",
     "FiniteDimDistribution",
-    "LscReport",
     "VariationalSolution",
     "finite_dim_exact",
     "iota",
     "iota_plus",
     "is_class_A",
-    "lsc_check",
     "poly_probability",
     "rate_over_set",
-    "rate_point",
     "EmpiricalDistribution",
     "ExceedanceReport",
     "ExponentFit",

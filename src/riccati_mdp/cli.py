@@ -83,6 +83,27 @@ def _require(block: dict, key: str, where: str):
     return block[key]
 
 
+def _floats(values) -> list:
+    return [float(v) for v in values]
+
+
+_KINDS = {float: "a number", int: "an integer", _floats: "a list of numbers"}
+
+
+def _number(block: dict, key: str, where: str, kind=float, default=None):
+    """Numeric field of a config block, read as kind (float, int or _floats).
+
+    The field is required unless a default is given.  A value that kind
+    cannot read, such as null or a list where a number belongs, raises
+    ConfigError instead of escaping as a TypeError.
+    """
+    value = _require(block, key, where) if default is None else block.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f'{where} "{key}" must be {_KINDS[kind]}, got {value!r}') from exc
+
+
 def _block(config: dict, name: str) -> dict:
     block = _require(config, name, "top-level")
     if not isinstance(block, dict):
@@ -104,10 +125,10 @@ def _model_from_config(config: dict, check: bool = True) -> SystemModel:
     return model
 
 
-def _resolve_seed(args, block: dict, default: int = 0) -> int:
+def _resolve_seed(args, block: dict, where: str) -> int:
     if getattr(args, "seed", None) is not None:
         return args.seed
-    return int(block.get("seed", default))
+    return _number(block, "seed", where, int, default=0)
 
 
 def _out_dir(args) -> Path:
@@ -140,9 +161,9 @@ def cmd_simulate(args) -> int:
     config = _load_config(args.config)
     model = _model_from_config(config)
     block = _block(config, "simulate")
-    gamma = float(_require(block, "gamma", "simulate"))
-    horizon = int(_require(block, "horizon", "simulate"))
-    seed = _resolve_seed(args, block)
+    gamma = _number(block, "gamma", "simulate")
+    horizon = _number(block, "horizon", "simulate", int)
+    seed = _resolve_seed(args, block, "simulate")
     try:
         cfg = SimulationConfig(gamma_bar=gamma, horizon=horizon, seed=seed)
     except ValueError as exc:
@@ -164,10 +185,10 @@ def cmd_invariant(args) -> int:
     config = _load_config(args.config)
     model = _model_from_config(config)
     block = _block(config, "invariant")
-    gamma = float(_require(block, "gamma", "invariant"))
-    n_samples = int(_require(block, "n_samples", "invariant"))
-    burn_in = int(_require(block, "burn_in", "invariant"))
-    seed = _resolve_seed(args, block)
+    gamma = _number(block, "gamma", "invariant")
+    n_samples = _number(block, "n_samples", "invariant", int)
+    burn_in = _number(block, "burn_in", "invariant", int)
+    seed = _resolve_seed(args, block, "invariant")
     try:
         cfg = SimulationConfig(gamma_bar=gamma, n_samples=n_samples,
                                burn_in=burn_in, seed=seed)
@@ -191,7 +212,7 @@ def cmd_rate(args) -> int:
     model = _model_from_config(config)
     block = _block(config, "rate")
     pred = _predicate_from_block(block, "rate")
-    k_cap = int(block.get("k_cap", DEFAULT_K_CAP))
+    k_cap = _number(block, "k_cap", "rate", int, default=DEFAULT_K_CAP)
 
     p_star = solve_dare(model).p_star
     fast_ok = (
@@ -263,10 +284,10 @@ def cmd_exponent(args) -> int:
     model = _model_from_config(config)
     block = _block(config, "exponent")
     pred = _predicate_from_block(block, "exponent")
-    grid = _require(block, "gamma_grid", "exponent")
-    n_samples = int(_require(block, "n_samples", "exponent"))
-    burn_in = int(_require(block, "burn_in", "exponent"))
-    seed = _resolve_seed(args, block)
+    grid = _number(block, "gamma_grid", "exponent", _floats)
+    n_samples = _number(block, "n_samples", "exponent", int)
+    burn_in = _number(block, "burn_in", "exponent", int)
+    seed = _resolve_seed(args, block, "exponent")
 
     try:
         fit = decay_exponent_fit(model, pred, grid, n_samples=n_samples,

@@ -182,23 +182,6 @@ def loewner_leq(x: SymMatrix, y: SymMatrix, tol: float = DEFAULT_ORDER_TOL) -> b
     return lam_min >= -tol * scale
 
 
-def psd_sqrt(x: SymMatrix, tol: float = DEFAULT_ORDER_TOL) -> SymMatrix:
-    """Symmetric square root of a positive-semidefinite matrix.
-
-    Eigenvalues in [-tol * (1 + ||X||), 0) are clamped to zero; anything more
-    negative is an error because the input is then not PSD at tolerance.
-    """
-    x = as_sym(x)
-    lam, v = np.linalg.eigh(x.a)
-    floor = -tol * (1.0 + spectral_norm(x))
-    if np.min(lam) < floor:
-        raise ValueError(
-            f"matrix is not positive semidefinite: min eigenvalue {np.min(lam):.6e}"
-        )
-    root = v @ np.diag(np.sqrt(np.clip(lam, 0.0, None))) @ v.T
-    return SymMatrix(root)
-
-
 class SystemModel:
     """Linear filtering model (A, C, Q, R) with initial covariance P0.
 
@@ -295,8 +278,6 @@ class ValidationCheck:
     name: str
     passed: bool
     detail: str
-    # Informational rows are reported but do not affect the overall verdict.
-    informational: bool = False
 
 
 @dataclass(frozen=True)
@@ -311,26 +292,18 @@ class ValidationReport:
 
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.checks if not c.informational)
+        return all(c.passed for c in self.checks)
 
     def failures(self) -> list[ValidationCheck]:
-        return [c for c in self.checks if not c.passed and not c.informational]
+        return [c for c in self.checks if not c.passed]
 
     def __str__(self) -> str:
         lines = []
         for c in self.checks:
-            tag = "info" if c.informational else ("pass" if c.passed else "FAIL")
+            tag = "pass" if c.passed else "FAIL"
             lines.append(f"[{tag}] {c.name}: {c.detail}")
         lines.append(f"overall: {'pass' if self.passed else 'FAIL'}")
         return "\n".join(lines)
-
-
-def _staircase_rank(blocks: list[np.ndarray]) -> int:
-    stacked = np.vstack(blocks)
-    sigma = np.linalg.svd(stacked, compute_uv=False)
-    if sigma.size == 0 or sigma[0] == 0.0:
-        return 0
-    return int(np.sum(sigma > RANK_REL_TOL * sigma[0]))
 
 
 def observability_rank(m: SystemModel) -> int:
@@ -339,25 +312,17 @@ def observability_rank(m: SystemModel) -> int:
     for _ in range(m.dim_state):
         blocks.append(row)
         row = row @ m.A
-    return _staircase_rank(blocks)
-
-
-def controllability_rank(m: SystemModel) -> int:
-    """Rank of [G, AG, ..., A^(N-1)G] for G = sqrt(Q), reported for information."""
-    g = psd_sqrt(m.Q).a
-    blocks, col = [], g.copy()
-    for _ in range(m.dim_state):
-        blocks.append(col.T)
-        col = m.A @ col
-    return _staircase_rank(blocks)
+    sigma = np.linalg.svd(np.vstack(blocks), compute_uv=False)
+    if sigma.size == 0 or sigma[0] == 0.0:
+        return 0
+    return int(np.sum(sigma > RANK_REL_TOL * sigma[0]))
 
 
 def validate_system(m: SystemModel) -> ValidationReport:
     """Check the standing admissibility conditions for the covariance iteration.
 
-    Requires Q > 0, R > 0, observability of (C, A), and P0 >= 0.  The
-    controllability rank of (A, sqrt(Q)) is reported for information only:
-    Q > 0 already forces full rank, so it never drives the verdict.
+    Requires Q > 0, R > 0, observability of (C, A), and P0 >= 0.  Q > 0
+    also makes (A, Q^(1/2)) controllable, the theory's other hypothesis.
     """
     checks = []
 
@@ -384,16 +349,6 @@ def validate_system(m: SystemModel) -> ValidationReport:
             "P0 positive semidefinite",
             lam_min_p0 >= p0_floor,
             f"min eigenvalue {lam_min_p0:.6e}",
-        )
-    )
-
-    ctrl_rank = controllability_rank(m)
-    checks.append(
-        ValidationCheck(
-            "(A, sqrt(Q)) controllability rank",
-            True,
-            f"rank {ctrl_rank} of {n}",
-            informational=True,
         )
     )
 

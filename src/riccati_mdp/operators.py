@@ -127,13 +127,6 @@ def step(m, p: np.ndarray, bits: np.ndarray) -> np.ndarray:
     return out.transpose(2, 0, 1)
 
 
-def riccati_power(m, x: SymMatrix, t: int) -> SymMatrix:
-    """t-fold application of the measurement update, f1^t(X)."""
-    if t < 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
-    return SymMatrix(_steps(m, _entry(m, x, "X"), np.ones((t, 1), dtype=bool), "f1^t(X)")[0])
-
-
 @dataclass(frozen=True)
 class DareSolution:
     """Fixed point of the measurement update, with solver diagnostics."""

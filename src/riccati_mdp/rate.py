@@ -39,7 +39,7 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .linalg import DEFAULT_ORDER_TOL, SymMatrix, as_sym, norms, norms_exceed, spectral_norm
+from .linalg import DEFAULT_ORDER_TOL, SymMatrix, as_sym, norms, norms_exceed
 from .operators import _entry, _random_psd_array, lyapunov_step, solve_dare, step
 from .strings import DEDUP_TOL, GammaString, _fold_groups, _grid_keys, _next_level
 
@@ -383,60 +383,6 @@ def _reach_floor(m, pred: EventPredicate, p_star: SymMatrix,
 def _code_bits(code: int, length: int) -> tuple:
     """Bit tuple of a word code, most significant (outermost) bit first."""
     return tuple((code >> (length - 1 - i)) & 1 for i in range(length))
-
-
-def rate_point(m, x: SymMatrix, match_tol: float, k_cap: int = DEFAULT_K_CAP,
-               p_star: Optional[SymMatrix] = None) -> VariationalSolution:
-    """Exponent of the closed match_tol-ball around a single target value.
-
-    The ball must be reachable by the open-loop orbit for the enumeration cut
-    to apply; a target off that orbit comes back as math.inf (cap marker)
-    rather than a finite answer.
-    """
-    x = as_sym(x)
-    if not match_tol > 0.0:
-        raise ValueError(f"match_tol must be positive, got {match_tol}")
-    pred = EventPredicate.custom(lambda y: spectral_norm(y - x) <= match_tol)
-    return rate_over_set(m, pred, k_cap=k_cap, p_star=p_star)
-
-
-@dataclass(frozen=True)
-class LscReport:
-    """rate_point exponents along a shrinking sequence of match balls."""
-
-    tolerances: tuple
-    exponents: tuple
-    passed: bool
-    # True when some ball was never reached within the cap, so no verdict.
-    inconclusive: bool
-
-
-def lsc_check(m, x: SymMatrix, tol_sequence: Iterable[float],
-              k_cap: int = DEFAULT_K_CAP) -> LscReport:
-    """Exponents must not drop as the ball shrinks, and must stabilize.
-
-    Passes when the exponent sequence is non-decreasing and its last two
-    entries agree; any cap marker makes the outcome inconclusive instead of
-    failed.
-    """
-    tols = tuple(float(t) for t in tol_sequence)
-    if len(tols) < 2:
-        raise ValueError("need at least two tolerances to check stabilization")
-    if any(b >= a for a, b in zip(tols, tols[1:])):
-        raise ValueError(f"tolerances must be strictly decreasing, got {tols}")
-    p_star = solve_dare(m).p_star
-    exponents = tuple(
-        rate_point(m, x, tol, k_cap=k_cap, p_star=p_star).exponent for tol in tols
-    )
-    inconclusive = any(not math.isfinite(e) for e in exponents)
-    monotone = all(a <= b for a, b in zip(exponents, exponents[1:]))
-    stabilized = exponents[-1] == exponents[-2]
-    return LscReport(
-        tolerances=tols,
-        exponents=exponents,
-        passed=(not inconclusive) and monotone and stabilized,
-        inconclusive=inconclusive,
-    )
 
 
 @dataclass(frozen=True)

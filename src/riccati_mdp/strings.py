@@ -23,10 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import SymMatrix, as_sym, loewner_leq, norms, spectral_norm
-from .operators import _entry, _steps, solve_dare, step
+from .operators import _entry, _steps, step
 
-# The word tree doubles per level; keep the support walk at a sane depth.
-MAX_SUPPORT_LENGTH = 22
 # Relative pitch of the rounding grid on which word values are merged.
 DEDUP_TOL = 1e-9
 # Doubling searches for an envelope scale give up past 2^_MAX_DOUBLINGS.
@@ -188,35 +186,6 @@ def _fold_groups(ufunc: np.ufunc, payload: np.ndarray, first: np.ndarray,
         merged[first] = False
         ufunc.at(out, inverse[merged], payload[merged])
     return out
-
-
-def support_set(m, max_len: int) -> list[SymMatrix]:
-    """Distinct word values reachable from the fixed point in <= max_len steps.
-
-    Walks the value tree level by level (`_next_level`), expanding each
-    distinct value once: values that collide on the rounding grid with one
-    seen at this or an earlier level generate identical subtrees and are
-    dropped.  The fixed point itself (the empty word) is always included, and
-    the result preserves first-discovery order, which is deterministic.
-    """
-    if max_len < 0:
-        raise ValueError(f"max_len must be nonnegative, got {max_len}")
-    if max_len > MAX_SUPPORT_LENGTH:
-        raise ValueError(
-            f"max_len {max_len} exceeds the enumeration limit {MAX_SUPPORT_LENGTH}"
-        )
-    level = solve_dare(m).p_star.a[None]
-    seen = {_grid_keys(level)[0].tobytes()}
-    found = [level]
-    for _ in range(max_len):
-        children, keys, _, first, _ = _next_level(m, level)
-        fresh = [i for i in first if keys[i].tobytes() not in seen]
-        if not fresh:
-            break
-        seen.update(keys[i].tobytes() for i in fresh)
-        level = children[fresh]
-        found.append(level)
-    return [SymMatrix(v) for v in np.concatenate(found)]
 
 
 def invariant_upper_scale(m) -> float:

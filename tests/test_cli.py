@@ -1,9 +1,13 @@
 import hashlib
+import importlib.util
 import inspect
 import json
 import math
+import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +29,19 @@ PLANAR_MODEL = {
     "R": [[1.0]],
     "P0": [[1.0, 0.0], [0.0, 1.0]],
 }
+
+
+EXPONENT_BLOCK = {"predicate": "ballc:37.585786437626905",
+                  "gamma_grid": [0.55, 0.65, 0.75],
+                  "n_samples": 100, "burn_in": 10, "seed": 0}
+REPO = Path(__file__).resolve().parent.parent
+
+
+def child_env() -> dict:
+    """Environment in which a child interpreter imports the package under test."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    rest = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + rest if rest else "")}
 
 
 def write_config(tmp_path, name="config.json", model=SCALAR_MODEL, **blocks):
@@ -66,6 +83,29 @@ class TestValidate:
     def test_malformed_model_block(self, tmp_path, capsys):
         cfg = write_config(tmp_path, model={"A": [[1.0]]})
         assert cli.main(["validate", "--config", cfg]) == 2
+
+    def test_indefinite_q_prints_the_report(self, tmp_path, capsys):
+        model = {**SCALAR_MODEL, "A": [[1.2]], "Q": [[-1.0]]}
+        cfg = write_config(tmp_path, model=model)
+        assert cli.main(["validate", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert "[FAIL] Q positive definite" in captured.out
+        assert "overall: FAIL" in captured.out
+        assert captured.err == ""
+
+
+class TestConfigFields:
+    @pytest.mark.parametrize("command, block, key, value", [
+        ("exponent", EXPONENT_BLOCK, "gamma_grid", 0.5),
+        ("exponent", EXPONENT_BLOCK, "n_samples", [10]),
+        ("exponent", EXPONENT_BLOCK, "seed", [1, 2]),
+        ("simulate", {"gamma": 0.7, "horizon": 10}, "gamma", None),
+    ], ids=["grid-number", "n_samples-list", "seed-list", "gamma-null"])
+    def test_wrong_type_exits_two(self, tmp_path, capsys, command, block, key, value):
+        cfg = write_config(tmp_path, **{command: {**block, key: value}})
+        assert cli.main([command, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f'"{key}"' in err
 
 
 class TestSimulate:
@@ -334,7 +374,7 @@ class TestEntryPoint:
         cfg = write_config(tmp_path)
         proc = subprocess.run(
             [sys.executable, "-m", "riccati_mdp.cli", "validate", "--config", cfg],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=child_env())
         assert proc.returncode == 0
         assert "overall" in proc.stdout
 
@@ -351,7 +391,8 @@ class TestEntryPoint:
             "cfg = SimulationConfig(gamma_bar=0.7, n_samples=50, burn_in=20, seed=1)",
             "assert sample_invariant(m, cfg).non_finite == 0",
         ])
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=child_env())
         assert proc.returncode == 0, proc.stderr
 
     def test_parser_built_once(self, tmp_path, monkeypatch, capsys):
@@ -393,3 +434,42 @@ class TestEntryPoint:
         for name in ("simulate", "invariant", "rate", "exponent",
                      "reproduce-scalar", "validate"):
             assert name in out
+
+
+def _readme_block(lang: str) -> str:
+    text = (REPO / "README.md").read_text()
+    return re.search(rf"```{lang}\n(.*?)```", text, re.S).group(1)
+
+
+class TestReadmeExamples:
+    def test_quick_start_prints_its_comments(self, capsys):
+        exec(compile(_readme_block("python"), "README.md", "exec"), {})
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "4"                      # iota
+        assert lines[1] == "4 0^4"                  # rate_over_set
+        assert lines[3].split()[0] == "4"           # law.event_exponent(hit)
+
+    def test_config_validates_and_rates(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(_readme_block("json"))
+        assert cli.main(["validate", "--config", str(cfg)]) == 0
+        capsys.readouterr()
+        assert cli.main(["rate", "--config", str(cfg)]) == 0
+        assert json.loads(capsys.readouterr().out)["exponent"] == 4
+
+
+class TestBenchTargets:
+    def test_traced_names_resolve(self, monkeypatch):
+        # bench/spans.py wraps these by name, so a missing one breaks a
+        # traced benchmark run.  The file is loaded, not installed.
+        path = REPO / "bench" / "spans.py"
+        spec = importlib.util.spec_from_file_location("bench_spans", path)
+        spans = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, spans)
+        spec.loader.exec_module(spans)
+        assert spans.TARGETS
+        for prefix, module, attr_path, _counters in spans.TARGETS:
+            owner = importlib.import_module(module)
+            for part in attr_path.split("."):
+                owner = getattr(owner, part)
+            assert callable(owner), prefix

@@ -11,10 +11,8 @@ from riccati_mdp import (
     SymMatrix,
     SystemModel,
     as_sym,
-    controllability_rank,
     loewner_leq,
     observability_rank,
-    psd_sqrt,
     spectral_norm,
     validate_system,
 )
@@ -202,27 +200,6 @@ class TestLoewnerOrder:
             assert not loewner_leq(x + SymMatrix.identity(n) * bump, x)
 
 
-class TestPsdSqrt:
-    def test_square_recovers_input(self):
-        rng = np.random.default_rng(3)
-        for _ in range(200):
-            n = int(rng.integers(1, 5))
-            g = rng.standard_normal((n, n))
-            x = SymMatrix(g @ g.T)
-            s = psd_sqrt(x)
-            err = spectral_norm(SymMatrix(s.a @ s.a) - x)
-            assert err <= 1e-10 * (1.0 + spectral_norm(x))
-
-    def test_clamps_round_off_negatives(self):
-        x = SymMatrix(np.diag([1.0, -1e-13]))
-        s = psd_sqrt(x)
-        assert np.linalg.eigvalsh(s.a).min() >= 0.0
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(ValueError):
-            psd_sqrt(SymMatrix(np.diag([1.0, -1.0])))
-
-
 class TestSystemModel:
     def test_scalar_entries_accepted(self):
         m = SystemModel(A=1.5, C=1.0, Q=1.0, R=1.0, P0=1.0)
@@ -293,8 +270,14 @@ class TestValidation:
         m = SystemModel(A=[[1.5]], C=[[1.0]], Q=[[1.0]], R=[[1.0]], P0=[[-0.5]])
         assert not validate_system(m).passed
 
+    def test_indefinite_q_is_a_failed_row(self):
+        # A Q that is not even PSD is reported like any other failure.
+        m = SystemModel(A=1.2, C=1.0, Q=-1.0, R=1.0, P0=1.0)
+        report = validate_system(m)
+        assert [c.name for c in report.failures()] == ["Q positive definite"]
+        assert "[FAIL] Q positive definite" in str(report)
+
     def test_ranks(self, planar):
         assert observability_rank(planar) == 2
-        assert controllability_rank(planar) == 2
         bad = SystemModel(A=np.eye(2), C=[[1.0, 0.0]], Q=np.eye(2), R=[[1.0]], P0=np.eye(2))
         assert observability_rank(bad) == 1

@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riccati_mdp import (
+    GammaString,
     SystemModel,
     SymMatrix,
+    eval_string,
     loewner_leq,
     lyapunov_step,
     random_psd,
-    riccati_power,
     riccati_step,
     solve_dare,
     spectral_norm,
@@ -26,6 +27,11 @@ import oracles
 
 def _models():
     return [scalar_study_model(), planar_model()]
+
+
+def _f1_power(m, x, t):
+    """f1^t(X): the value of the word of t ones."""
+    return eval_string(m, GammaString((1,) * t, x)).value
 
 
 class TestSteps:
@@ -52,15 +58,6 @@ class TestSteps:
     def test_dimension_mismatch(self, planar):
         with pytest.raises(ValueError):
             riccati_step(planar, SymMatrix.identity(3))
-
-    def test_power(self, scalar_model):
-        x = SymMatrix(1.0)
-        assert riccati_power(scalar_model, x, 0) == x
-        manual = riccati_step(scalar_model,
-                              riccati_step(scalar_model, riccati_step(scalar_model, x)))
-        assert riccati_power(scalar_model, x, 3) == manual
-        with pytest.raises(ValueError):
-            riccati_power(scalar_model, x, -1)
 
     def test_planar_step_is_symmetric_psd(self, planar):
         rng = np.random.default_rng(5)
@@ -163,7 +160,7 @@ class TestPowerProperty:
         for _ in range(t):
             scale = max(scale, np.abs(f0(want)).max())
             want = f1(want)
-        got = riccati_power(m, x, t).a
+        got = _f1_power(m, x, t).a
         assert np.abs(got - want[0]).max() <= 1e-12 * scale
 
 
@@ -276,7 +273,7 @@ class TestContraction:
         for _ in range(100):
             x = random_psd(rng, model.dim_state, scale=float(10.0 ** rng.uniform(0, 3)))
             d0 = spectral_norm(x - ps)
-            cur = riccati_power(model, x, 40)
+            cur = _f1_power(model, x, 40)
             assert spectral_norm(cur - ps) <= 1e-9 * (1.0 + d0)
 
 
@@ -293,10 +290,10 @@ class TestUniformBound:
         bound = SymMatrix.identity(n) * kappa
         for _ in range(200):
             x = random_psd(rng, n, scale=float(10.0 ** rng.uniform(0, 6)))
-            assert loewner_leq(riccati_power(model, x, n), bound)
+            assert loewner_leq(_f1_power(model, x, n), bound)
         for s in (1e5, 1e8, 1e12):
             probe = SymMatrix.identity(n) * s
-            assert loewner_leq(riccati_power(model, probe, n), bound)
+            assert loewner_leq(_f1_power(model, probe, n), bound)
 
     def test_planar_one_step_has_no_uniform_bound(self, planar):
         # Concrete witness: X = s * e2 e2^T lies in ker(C), so the update

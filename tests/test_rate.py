@@ -17,11 +17,9 @@ from riccati_mdp import (
     iota_plus,
     is_class_A,
     loewner_leq,
-    lsc_check,
     lyapunov_step,
     poly_probability,
     rate_over_set,
-    rate_point,
     riccati_step,
     solve_dare,
     spectral_norm,
@@ -509,41 +507,35 @@ class TestReachPruning:
         assert str(got.value) == str(want.value) == message
 
 
-class TestRatePoint:
-    def test_orbit_points(self, scalar_model, scalar_pstar):
-        x = scalar_pstar
-        for k in range(4):
-            assert rate_point(scalar_model, x, 1e-6).exponent == k
-            x = lyapunov_step(scalar_model, x)
+class TestLawSupport:
+    """The support of the law at time L from P*: every value a word of length <= L reaches."""
 
-    def test_off_support_is_inf(self, scalar_model, scalar_pstar):
-        x = SymMatrix(scalar_pstar.item() + 0.37)
-        assert rate_point(scalar_model, x, 1e-6, k_cap=8).exponent == math.inf
+    def test_scalar_depth_two(self, scalar_model, scalar_pstar):
+        # Words of length 2 from the fixed point produce exactly four
+        # distinct values: p*, f0(p*), f1(f0(p*)), f0(f0(p*)).
+        law = finite_dim_exact(scalar_model, scalar_pstar, [2])
+        vals = sorted(law.values[:, -1, 0, 0].tolist())
+        expected = sorted([
+            oracles.P_STAR_SCALAR,
+            oracles.F0_ORBIT_SCALAR[0],
+            oracles.F1_OF_F0_SCALAR,
+            oracles.F0_ORBIT_SCALAR[1],
+        ])
+        assert len(vals) == 4
+        for got, ref in zip(vals, expected):
+            assert got == pytest.approx(ref, abs=1e-9)
 
-    def test_non_orbit_ball_is_capped(self, scalar_model, scalar_pstar):
-        # The enumeration cut needs the pure open-loop orbit to enter the
-        # ball; a value reachable only through mixed words comes back as the
-        # inf cap marker rather than a wrong finite number.
-        x = riccati_step(scalar_model,
-                         lyapunov_step(scalar_model, lyapunov_step(scalar_model, scalar_pstar)))
-        sol = rate_point(scalar_model, x, 1e-8)
-        assert sol.exponent == math.inf
-        assert sol.minimizer is None
+    def test_growth_collapses_trailing_measurements(self, scalar_model, scalar_pstar):
+        # A word ending in a measurement fixes the fixed point, so the
+        # distinct values at length L are the 0-terminated words of length
+        # <= L plus the empty word: 2^L of them.
+        sizes = [len(finite_dim_exact(scalar_model, scalar_pstar, [L]).values)
+                 for L in range(7)]
+        assert sizes == [2 ** L for L in range(7)]
 
-    def test_lsc_along_shrinking_balls(self, scalar_model, scalar_pstar):
-        x = lyapunov_step(scalar_model, lyapunov_step(scalar_model, scalar_pstar))
-        report = lsc_check(scalar_model, x, [1e-2, 1e-4, 1e-6, 1e-8])
-        assert report.passed and not report.inconclusive
-        assert report.exponents[-1] == 2
-
-    def test_lsc_inconclusive_off_support(self, scalar_model, scalar_pstar):
-        x = SymMatrix(scalar_pstar.item() + 0.37)
-        report = lsc_check(scalar_model, x, [1e-2, 1e-4], k_cap=6)
-        assert report.inconclusive and not report.passed
-
-    def test_lsc_rejects_non_decreasing_tols(self, scalar_model, scalar_pstar):
-        with pytest.raises(ValueError):
-            lsc_check(scalar_model, scalar_pstar, [1e-4, 1e-2])
+    def test_every_member_dominates_fixed_point(self, planar, planar_pstar):
+        for v in finite_dim_exact(planar, planar_pstar, [4]).values[:, -1]:
+            assert loewner_leq(planar_pstar, v, tol=1e-8)
 
 
 class TestFiniteDim:

@@ -18,7 +18,6 @@ from riccati_mdp import (
     random_psd,
     spectral_norm,
     string_upper_bound,
-    support_set,
     value_key,
 )
 
@@ -170,37 +169,6 @@ class TestGroupRows:
             min_size=len(rows), max_size=len(rows)), label="prefix")
         keys = np.array([p + r for p, r in zip(prefix, rows)], dtype=np.int64)
         _assert_groups_match_reference(keys)
-
-
-class TestSupportSet:
-    def test_scalar_depth_two(self, scalar_model, scalar_pstar):
-        # Words of length <= 2 from the fixed point produce exactly four
-        # distinct values: p*, f0(p*), f1(f0(p*)), f0(f0(p*)).
-        vals = sorted(v.item() for v in support_set(scalar_model, 2))
-        expected = sorted([
-            oracles.P_STAR_SCALAR,
-            oracles.F0_ORBIT_SCALAR[0],
-            oracles.F1_OF_F0_SCALAR,
-            oracles.F0_ORBIT_SCALAR[1],
-        ])
-        assert len(vals) == 4
-        for got, ref in zip(vals, expected):
-            assert got == pytest.approx(ref, abs=1e-9)
-
-    def test_growth_collapses_trailing_measurements(self, scalar_model):
-        # A word ending in a measurement fixes the fixed point, so the
-        # distinct values at depth <= L are the 0-terminated words plus the
-        # empty word: 2^L of them, versus 2^(L+1) - 1 words enumerated.
-        sizes = [len(support_set(scalar_model, L)) for L in range(7)]
-        assert sizes == [2 ** L for L in range(7)]
-
-    def test_every_member_dominates_fixed_point(self, planar, planar_pstar):
-        for v in support_set(planar, 4):
-            assert loewner_leq(planar_pstar, v, tol=1e-8)
-
-    def test_depth_cap(self, scalar_model):
-        with pytest.raises(ValueError):
-            support_set(scalar_model, 23)
 
 
 class TestUpperBounds:
