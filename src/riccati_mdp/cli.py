@@ -1,11 +1,14 @@
 """Command-line front end.
 
 Subcommands: simulate, invariant, rate, exponent, reproduce-scalar, validate.
-Exit codes are stable: 0 success, 2 configuration problem (bad JSON, missing
-fields, inadmissible model), 3 numeric failure (non-convergence, degenerate
-fits, a `LinAlgError` from the numeric core).  All CSV floats are printed
-with 17 significant digits so files parse back losslessly and reruns with one
-seed are byte-identical.
+Each registers only the options its handler reads, so an option another
+subcommand takes is a usage error (exit 2).  `rate` gets every exponent from
+`rate_over_set`, whatever the model and predicate.  Exit codes are stable:
+0 success, 2 configuration problem (bad JSON, missing fields, a boolean or
+fraction where a number or integer belongs, inadmissible model), 3 numeric
+failure (non-convergence, degenerate fits, a `LinAlgError` from the numeric
+core).  All CSV floats are printed with 17 significant digits so files parse
+back losslessly and reruns with one seed are byte-identical.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .montecarlo import (
     simulate_rre,
 )
 from .operators import solve_dare
-from .rate import DEFAULT_K_CAP, EventPredicate, iota, iota_plus, rate_over_set
+from .rate import DEFAULT_K_CAP, EventPredicate, iota, rate_over_set
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -83,19 +86,33 @@ def _require(block: dict, key: str, where: str):
     return block[key]
 
 
+def _real(value) -> float:
+    if isinstance(value, bool):
+        raise TypeError("a boolean is not a number")
+    return float(value)
+
+
+def _integer(value) -> int:
+    number = _real(value)
+    if not number.is_integer():
+        raise ValueError(f"{value!r} is not integral")
+    return value if isinstance(value, int) else int(number)
+
+
 def _floats(values) -> list:
-    return [float(v) for v in values]
+    return [_real(v) for v in values]
 
 
-_KINDS = {float: "a number", int: "an integer", _floats: "a list of numbers"}
+_KINDS = {_real: "a number", _integer: "an integer", _floats: "a list of numbers"}
 
 
-def _number(block: dict, key: str, where: str, kind=float, default=None):
-    """Numeric field of a config block, read as kind (float, int or _floats).
+def _number(block: dict, key: str, where: str, kind=_real, default=None):
+    """Numeric field of a config block, read as kind (_real, _integer or _floats).
 
     The field is required unless a default is given.  A value that kind
-    cannot read, such as null or a list where a number belongs, raises
-    ConfigError instead of escaping as a TypeError.
+    cannot read, such as null, a boolean, a fraction where an integer
+    belongs or a list where a number belongs, raises ConfigError instead of
+    being coerced or escaping as a TypeError.
     """
     value = _require(block, key, where) if default is None else block.get(key, default)
     try:
@@ -126,13 +143,13 @@ def _model_from_config(config: dict, check: bool = True) -> SystemModel:
 
 
 def _resolve_seed(args, block: dict, where: str) -> int:
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         return args.seed
-    return _number(block, "seed", where, int, default=0)
+    return _number(block, "seed", where, _integer, default=0)
 
 
 def _out_dir(args) -> Path:
-    out = Path(getattr(args, "out", ".") or ".")
+    out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -162,7 +179,7 @@ def cmd_simulate(args) -> int:
     model = _model_from_config(config)
     block = _block(config, "simulate")
     gamma = _number(block, "gamma", "simulate")
-    horizon = _number(block, "horizon", "simulate", int)
+    horizon = _number(block, "horizon", "simulate", _integer)
     seed = _resolve_seed(args, block, "simulate")
     try:
         cfg = SimulationConfig(gamma_bar=gamma, horizon=horizon, seed=seed)
@@ -186,8 +203,8 @@ def cmd_invariant(args) -> int:
     model = _model_from_config(config)
     block = _block(config, "invariant")
     gamma = _number(block, "gamma", "invariant")
-    n_samples = _number(block, "n_samples", "invariant", int)
-    burn_in = _number(block, "burn_in", "invariant", int)
+    n_samples = _number(block, "n_samples", "invariant", _integer)
+    burn_in = _number(block, "burn_in", "invariant", _integer)
     seed = _resolve_seed(args, block, "invariant")
     try:
         cfg = SimulationConfig(gamma_bar=gamma, n_samples=n_samples,
@@ -212,41 +229,12 @@ def cmd_rate(args) -> int:
     model = _model_from_config(config)
     block = _block(config, "rate")
     pred = _predicate_from_block(block, "rate")
-    k_cap = _number(block, "k_cap", "rate", int, default=DEFAULT_K_CAP)
+    k_cap = _number(block, "k_cap", "rate", _integer, default=DEFAULT_K_CAP)
 
     p_star = solve_dare(model).p_star
-    fast_ok = (
-        model.dim_state == 1 and pred.kind == "ballc" and pred.center is None
-    )
-    if args.verify and not fast_ok:
-        raise ConfigError("--verify applies only to the orbit fast path "
-                          "(scalar models with a ballc predicate)")
-    payload: dict
-    if fast_ok:
-        escape = iota_plus if pred.open_ else iota
-        # Same cap as the enumeration path, so --verify compares like with like.
-        exponent = escape(model, pred.threshold, cap=k_cap, p_star=p_star)
-        payload = {
-            "exponent": exponent if math.isfinite(exponent) else "inf",
-            "k_gamma": exponent if math.isfinite(exponent) else "inf",
-            "minimizer": f"0^{int(exponent)}" if math.isfinite(exponent) and exponent > 0
-                         else ("" if exponent == 0 else None),
-            "strings_examined": int(exponent) + 1 if math.isfinite(exponent) else 0,
-            "method": "orbit-fast-path",
-        }
-        if args.verify:
-            solution = rate_over_set(model, pred, k_cap=k_cap, p_star=p_star)
-            if solution.exponent != exponent:
-                raise RuntimeError(
-                    f"fast path exponent {exponent} disagrees with enumeration "
-                    f"{solution.exponent}"
-                )
-            payload["verified"] = True
-            payload["strings_examined"] = solution.strings_examined
-    else:
-        solution = rate_over_set(model, pred, k_cap=k_cap, p_star=p_star)
-        payload = solution.to_dict()
-        payload["method"] = "enumeration"
+    solution = rate_over_set(model, pred, k_cap=k_cap, p_star=p_star)
+    payload = solution.to_dict()
+    payload["method"] = "enumeration"
 
     text = json.dumps(payload, indent=2, sort_keys=True)
     print(text)
@@ -285,8 +273,8 @@ def cmd_exponent(args) -> int:
     block = _block(config, "exponent")
     pred = _predicate_from_block(block, "exponent")
     grid = _number(block, "gamma_grid", "exponent", _floats)
-    n_samples = _number(block, "n_samples", "exponent", int)
-    burn_in = _number(block, "burn_in", "exponent", int)
+    n_samples = _number(block, "n_samples", "exponent", _integer)
+    burn_in = _number(block, "burn_in", "exponent", _integer)
     seed = _resolve_seed(args, block, "exponent")
 
     try:
@@ -371,42 +359,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, config_required=True):
-        if config_required:
+    def add(name, handler, help_text, *options):
+        """Subcommand reading the named options: config, out and seed."""
+        p = sub.add_parser(name, help=help_text)
+        if "config" in options:
             p.add_argument("--config", required=True, help="JSON configuration file")
-        p.add_argument("--out", default=None, help="directory for output artifacts")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the seed from the config")
+        if "out" in options:
+            p.add_argument("--out", default=None, help="directory for output artifacts")
+        if "seed" in options:
+            p.add_argument("--seed", type=int, default=None,
+                           help="override the seed of the config or study")
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser("simulate", help="one covariance path to CSV")
-    add_common(p)
-    p.set_defaults(handler=cmd_simulate)
-
-    p = sub.add_parser("invariant", help="sample the long-run covariance law")
-    add_common(p)
-    p.set_defaults(handler=cmd_invariant)
-
-    p = sub.add_parser("rate", help="exact decay exponent of an event")
-    add_common(p)
-    p.add_argument("--verify", action="store_true",
-                   help="cross-check the orbit fast path against the word-tree "
-                        "enumeration (scalar models with a ballc predicate only)")
-    p.set_defaults(handler=cmd_rate)
-
-    p = sub.add_parser("exponent", help="Monte-Carlo decay-exponent fit")
-    add_common(p)
-    p.set_defaults(handler=cmd_exponent)
-
-    p = sub.add_parser("reproduce-scalar",
-                       help="rerun the scalar rare-event study end to end")
-    add_common(p, config_required=False)
+    add("simulate", cmd_simulate, "one covariance path to CSV", "config", "out", "seed")
+    add("invariant", cmd_invariant, "sample the long-run covariance law",
+        "config", "out", "seed")
+    add("rate", cmd_rate, "exact decay exponent of an event, by word-tree enumeration",
+        "config", "out")
+    add("exponent", cmd_exponent, "Monte-Carlo decay-exponent fit", "config", "out", "seed")
+    p = add("reproduce-scalar", cmd_reproduce_scalar,
+            "rerun the scalar rare-event study end to end", "out", "seed")
     p.add_argument("--full", action="store_true",
                    help="extend the arrival-rate grid to 0.95")
-    p.set_defaults(handler=cmd_reproduce_scalar)
-
-    p = sub.add_parser("validate", help="check a model's admissibility")
-    add_common(p)
-    p.set_defaults(handler=cmd_validate)
+    add("validate", cmd_validate, "check a model's admissibility", "config")
 
     return parser
 

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import importlib.util
 import inspect
@@ -5,6 +6,7 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -34,6 +36,8 @@ PLANAR_MODEL = {
 EXPONENT_BLOCK = {"predicate": "ballc:37.585786437626905",
                   "gamma_grid": [0.55, 0.65, 0.75],
                   "n_samples": 100, "burn_in": 10, "seed": 0}
+SIMULATE_BLOCK = {"gamma": 0.7, "horizon": 10}
+INVARIANT_BLOCK = {"gamma": 0.7, "n_samples": 10, "burn_in": 10}
 REPO = Path(__file__).resolve().parent.parent
 
 
@@ -99,8 +103,19 @@ class TestConfigFields:
         ("exponent", EXPONENT_BLOCK, "gamma_grid", 0.5),
         ("exponent", EXPONENT_BLOCK, "n_samples", [10]),
         ("exponent", EXPONENT_BLOCK, "seed", [1, 2]),
-        ("simulate", {"gamma": 0.7, "horizon": 10}, "gamma", None),
-    ], ids=["grid-number", "n_samples-list", "seed-list", "gamma-null"])
+        ("simulate", SIMULATE_BLOCK, "gamma", None),
+        ("simulate", SIMULATE_BLOCK, "gamma", True),
+        ("simulate", SIMULATE_BLOCK, "horizon", 10.9),
+        ("simulate", SIMULATE_BLOCK, "seed", 1.9),
+        ("invariant", INVARIANT_BLOCK, "n_samples", True),
+        ("invariant", INVARIANT_BLOCK, "burn_in", 10.5),
+        ("exponent", EXPONENT_BLOCK, "gamma_grid", [0.55, True, 0.75]),
+        ("exponent", EXPONENT_BLOCK, "seed", False),
+        ("rate", {"predicate": "ballc:5.0"}, "k_cap", 22.5),
+        ("rate", {"predicate": "ballc:5.0"}, "k_cap", True),
+    ], ids=["grid-number", "n_samples-list", "seed-list", "gamma-null", "gamma-bool",
+            "horizon-fraction", "seed-fraction", "n_samples-bool", "burn_in-fraction",
+            "grid-bool", "seed-bool", "k_cap-fraction", "k_cap-bool"])
     def test_wrong_type_exits_two(self, tmp_path, capsys, command, block, key, value):
         cfg = write_config(tmp_path, **{command: {**block, key: value}})
         assert cli.main([command, "--config", cfg]) == 2
@@ -154,8 +169,9 @@ class TestSimulate:
 
 class TestInvariant:
     def test_writes_samples(self, tmp_path, capsys):
+        # Integral floats read as integers.
         cfg = write_config(
-            tmp_path, invariant={"gamma": 0.7, "n_samples": 40, "burn_in": 30, "seed": 1})
+            tmp_path, invariant={"gamma": 0.7, "n_samples": 40.0, "burn_in": 30, "seed": 1.0})
         out = tmp_path / "inv"
         assert cli.main(["invariant", "--config", cfg, "--out", str(out)]) == 0
         lines = (out / "samples.csv").read_text().splitlines()
@@ -183,29 +199,13 @@ class TestInvariant:
 
 
 class TestRate:
-    def test_scalar_fast_path(self, tmp_path, capsys):
+    def test_scalar_uses_enumeration(self, tmp_path, capsys):
         cfg = write_config(tmp_path, rate={"predicate": "ballc:37.585786437626905"})
         assert cli.main(["rate", "--config", cfg]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["exponent"] == 4
         assert payload["minimizer"] == "0^4"
-        assert payload["method"] == "orbit-fast-path"
-
-    def test_verify_cross_checks(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, rate={"predicate": "ballc:37.585786437626905"})
-        assert cli.main(["rate", "--config", cfg, "--verify"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["verified"] is True
-        assert payload["exponent"] == 4
-
-    def test_verify_rejected_off_the_fast_path(self, tmp_path, capsys):
-        # The enumeration path has nothing to cross-check against, so the
-        # flag is a configuration error rather than an unchecked "verified".
-        cfg = write_config(tmp_path, model=PLANAR_MODEL, rate={"predicate": "ballc:6.0"})
-        assert cli.main(["rate", "--config", cfg, "--verify"]) == 2
-        captured = capsys.readouterr()
-        assert "orbit fast path" in captured.err
-        assert captured.out == ""
+        assert payload["method"] == "enumeration"
 
     def test_planar_uses_enumeration(self, tmp_path, capsys):
         cfg = write_config(tmp_path, model=PLANAR_MODEL, rate={"predicate": "ballc:6.0"})
@@ -230,16 +230,15 @@ class TestRate:
         assert file_payload == stdout_payload
 
     def test_event_beyond_cap_reports_inf(self, tmp_path, capsys):
-        # Radius 1e12 needs 39 doublings, far past the configured cap; both
-        # the fast path and the enumeration agree on the inf marker.
+        # Radius 1e12 needs 39 doublings, far past the configured cap.
         cfg = write_config(tmp_path, rate={"predicate": "ballc:1e12", "k_cap": 8})
-        assert cli.main(["rate", "--config", cfg, "--verify"]) == 0
+        assert cli.main(["rate", "--config", cfg]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["exponent"] == "inf"
 
     def test_deep_event_resolved_under_default_cap(self, tmp_path, capsys):
         # Distance 2^15 * 3.41 needs 15 open-loop steps; the default cap of
-        # 22 covers it on the fast path.
+        # 22 covers it.
         cfg = write_config(tmp_path, rate={"predicate": "ballc:111000"})
         assert cli.main(["rate", "--config", cfg]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -415,7 +414,7 @@ class TestEntryPoint:
             cli._parser.cache_clear()
         assert len(built) == 1
 
-    @pytest.mark.parametrize("argv", [["rate"], [], ["nope"], ["rate", "--seed", "x"]])
+    @pytest.mark.parametrize("argv", [["rate"], [], ["nope"], ["simulate", "--seed", "x"]])
     def test_usage_errors_match_a_fresh_parser(self, argv, capsys):
         # The shared parser exits and reports as a parser built per call does.
         results = []
@@ -425,6 +424,34 @@ class TestEntryPoint:
             results.append((exc.value.code, capsys.readouterr().err))
         assert results[0] == results[1]
         assert results[0][0] == 2
+
+    def test_each_subcommand_registers_only_what_it_reads(self):
+        parser = cli.build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        dests = {name: {a.dest for a in p._actions} - {"help"}
+                 for name, p in sub.choices.items()}
+        assert dests == {
+            "simulate": {"config", "out", "seed"},
+            "invariant": {"config", "out", "seed"},
+            "exponent": {"config", "out", "seed"},
+            "rate": {"config", "out"},
+            "validate": {"config"},
+            "reproduce-scalar": {"out", "seed", "full"},
+        }
+
+    @pytest.mark.parametrize("command, extra", [
+        ("rate", ["--verify"]),
+        ("rate", ["--seed", "1"]),
+        ("validate", ["--seed", "1"]),
+        ("validate", ["--out", "{tmp}/out"]),
+    ], ids=["rate-verify", "rate-seed", "validate-seed", "validate-out"])
+    def test_unread_options_are_usage_errors(self, tmp_path, capsys, command, extra):
+        cfg = write_config(tmp_path, rate={"predicate": "ballc:5.0"})
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--config", cfg] + [a.format(tmp=tmp_path) for a in extra])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
     def test_help_lists_subcommands(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -442,6 +469,15 @@ def _readme_block(lang: str) -> str:
 
 
 class TestReadmeExamples:
+    def test_usage_lines_parse(self):
+        # Every documented command line parses, so the README names no
+        # option the parser does not register.
+        text = (REPO / "README.md").read_text()
+        lines = re.findall(r"^ +riccati-mdp (.+)$", text, re.M)
+        parser = cli.build_parser()
+        commands = {parser.parse_args(shlex.split(line)).command for line in lines}
+        assert commands == {"simulate", "invariant", "rate", "exponent",
+                            "reproduce-scalar", "validate"}
     def test_quick_start_prints_its_comments(self, capsys):
         exec(compile(_readme_block("python"), "README.md", "exec"), {})
         lines = capsys.readouterr().out.splitlines()

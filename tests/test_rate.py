@@ -233,6 +233,25 @@ class TestRateOverSet:
                 ref = oracles.min_zeros_scalar(radius, min(int(sol.k_gamma) + 3, 15))
                 assert sol.exponent == ref
 
+    @pytest.mark.parametrize("open_, scan", [(False, iota), (True, iota_plus)])
+    def test_equals_orbit_scan_on_scalar_bands(self, scalar_model, scalar_pstar, open_, scan):
+        # A radius between the orbit distances d_{k-1} and d_k is entered at
+        # step k, by 0^k and by no word with fewer drops, for every k up to
+        # the cap; a step past the cap both paths report inf.
+        def radius(k):
+            return ((2.0 ** (k - 1) - 1.0) + (2.0 ** k - 1.0)) * (2.0 + SQRT2) / 2.0
+
+        for k in range(1, DEFAULT_K_CAP + 2):
+            pred = EventPredicate.ball_complement(radius(k), open_=open_)
+            sol = rate_over_set(scalar_model, pred, p_star=scalar_pstar)
+            orbit = scan(scalar_model, radius(k), cap=DEFAULT_K_CAP, p_star=scalar_pstar)
+            if k <= DEFAULT_K_CAP:
+                assert sol.exponent == orbit == sol.k_gamma == k
+                assert sol.minimizer.bits == (0,) * k
+            else:
+                assert sol.exponent == orbit == math.inf
+                assert sol.minimizer is None
+
     def test_witness_attains_the_event(self, planar, planar_pstar):
         pred = EventPredicate.ball_complement(6.0)
         sol = rate_over_set(planar, pred)
