@@ -3,12 +3,14 @@
 Subcommands: simulate, invariant, rate, exponent, reproduce-scalar, validate.
 Each registers only the options its handler reads, so an option another
 subcommand takes is a usage error (exit 2).  `rate` gets every exponent from
-`rate_over_set`, whatever the model and predicate.  Exit codes are stable:
-0 success, 2 configuration problem (bad JSON, missing fields, a boolean or
-fraction where a number or integer belongs, inadmissible model), 3 numeric
-failure (non-convergence, degenerate fits, a `LinAlgError` from the numeric
-core).  All CSV floats are printed with 17 significant digits so files parse
-back losslessly and reruns with one seed are byte-identical.
+`rate_over_set`, whatever the model and predicate.  Each config block is
+read against one table (`_TABLES`).  Exit codes are stable: 0 success, 2
+configuration problem (an unreadable file, bad JSON, a config that is not a
+JSON object, unknown or missing keys, text, a boolean or a fraction where a
+number or integer belongs, inadmissible model), 3 numeric failure
+(non-convergence, degenerate fits, a `LinAlgError` from the numeric core).
+All CSV floats are printed with 17 significant digits so files parse back
+losslessly and reruns with one seed are byte-identical.
 """
 
 from __future__ import annotations
@@ -70,68 +72,103 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _load_config(path: str) -> dict:
+def _load_config(path: str):
     try:
         with open(path) as fh:
             return json.load(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror or exc}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
 
 
-def _require(block: dict, key: str, where: str):
-    if key not in block:
-        raise ConfigError(f'{where} config is missing "{key}"')
-    return block[key]
-
-
 def _real(value) -> float:
-    if isinstance(value, bool):
-        raise TypeError("a boolean is not a number")
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError("must be a number")
     return float(value)
 
 
 def _integer(value) -> int:
-    number = _real(value)
-    if not number.is_integer():
-        raise ValueError(f"{value!r} is not integral")
-    return value if isinstance(value, int) else int(number)
+    if not _real(value).is_integer():
+        raise ValueError("must be an integer")
+    return int(value)
 
 
-def _floats(values) -> list:
-    return [_real(v) for v in values]
+def _seed(value) -> int:
+    if _integer(value) < 0:
+        raise ValueError("must be a non-negative integer")
+    return int(value)
 
 
-_KINDS = {_real: "a number", _integer: "an integer", _floats: "a list of numbers"}
+def _floats(value) -> list:
+    if not isinstance(value, list) or not all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in value):
+        raise ValueError("must be a list of numbers")
+    return [float(v) for v in value]
 
 
-def _number(block: dict, key: str, where: str, kind=_real, default=None):
-    """Numeric field of a config block, read as kind (_real, _integer or _floats).
+def _predicate(value) -> EventPredicate:
+    if not isinstance(value, str):
+        raise ValueError('must be text such as "ballc:5"')
+    return EventPredicate.from_spec(value)
 
-    The field is required unless a default is given.  A value that kind
-    cannot read, such as null, a boolean, a fraction where an integer
-    belongs or a list where a number belongs, raises ConfigError instead of
-    being coerced or escaping as a TypeError.
+
+# One table per config block: each key's reader and, for an optional key,
+# its default.  Model matrices pass as written; SystemModel checks them.
+_REQUIRED = object()
+_TABLES = {
+    "model": dict.fromkeys(("A", "C", "Q", "R", "P0"), (lambda matrix: matrix, _REQUIRED)),
+    "simulate": {"gamma": (_real, _REQUIRED), "horizon": (_integer, _REQUIRED),
+                 "seed": (_seed, 0)},
+    "invariant": {"gamma": (_real, _REQUIRED), "n_samples": (_integer, _REQUIRED),
+                  "burn_in": (_integer, _REQUIRED), "seed": (_seed, 0)},
+    "rate": {"predicate": (_predicate, _REQUIRED), "k_cap": (_integer, DEFAULT_K_CAP)},
+    "exponent": {"predicate": (_predicate, _REQUIRED), "gamma_grid": (_floats, _REQUIRED),
+                 "n_samples": (_integer, _REQUIRED), "burn_in": (_integer, _REQUIRED),
+                 "seed": (_seed, 0)},
+}
+
+
+def _value(where: str, key: str, reader, value):
+    if value is _REQUIRED:
+        raise ConfigError(f'{where} config is missing "{key}"')
+    try:
+        return reader(value)
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(f'{where} "{key}" = {json.dumps(value)}: {exc}') from exc
+
+
+def _object(what: str, value, allowed: dict) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {json.dumps(value)}")
+    for key in value:
+        if key not in allowed:
+            raise ConfigError(f'{what} has unknown key "{key}"; allowed: '
+                              + ", ".join(f'"{k}"' for k in allowed))
+    return value
+
+
+def _read(config, name: str, seed=None) -> dict:
+    """Block `name` of a config, read by its table; `seed` (--seed) overrides "seed".
+
+    The config's top-level keys must name blocks, and the block's keys its fields.
     """
-    value = _require(block, key, where) if default is None else block.get(key, default)
+    _object("the config", config, _TABLES)
+    if name not in config:
+        raise ConfigError(f'config is missing the "{name}" block')
+    block = _object(f'"{name}"', config[name], _TABLES[name])
+    fields = {key: _value(name, key, reader, block.get(key, default))
+              for key, (reader, default) in _TABLES[name].items()}
+    if seed is not None:
+        fields["seed"] = _value("option", "--seed", _seed, seed)
+    return fields
+
+
+def _model_from_config(config, check: bool = True) -> SystemModel:
     try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f'{where} "{key}" must be {_KINDS[kind]}, got {value!r}') from exc
-
-
-def _block(config: dict, name: str) -> dict:
-    block = _require(config, name, "top-level")
-    if not isinstance(block, dict):
-        raise ConfigError(f'"{name}" must be a JSON object')
-    return block
-
-
-def _model_from_config(config: dict, check: bool = True) -> SystemModel:
-    raw = _block(config, "model")
-    try:
-        model = SystemModel.from_dict(raw)
+        model = SystemModel(**_read(config, "model"))
     except ValueError as exc:
         raise ConfigError(f"model: {exc}") from exc
     if check:
@@ -142,12 +179,6 @@ def _model_from_config(config: dict, check: bool = True) -> SystemModel:
     return model
 
 
-def _resolve_seed(args, block: dict, where: str) -> int:
-    if args.seed is not None:
-        return args.seed
-    return _number(block, "seed", where, _integer, default=0)
-
-
 def _out_dir(args) -> Path:
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
@@ -156,14 +187,6 @@ def _out_dir(args) -> Path:
 
 def _entry_header(dim: int) -> list:
     return [f"p_{i}_{j}" for i in range(dim) for j in range(dim)]
-
-
-def _predicate_from_block(block: dict, where: str) -> EventPredicate:
-    text = _require(block, "predicate", where)
-    try:
-        return EventPredicate.from_spec(str(text))
-    except ValueError as exc:
-        raise ConfigError(f"{where} predicate: {exc}") from exc
 
 
 def cmd_validate(args) -> int:
@@ -177,14 +200,9 @@ def cmd_validate(args) -> int:
 def cmd_simulate(args) -> int:
     config = _load_config(args.config)
     model = _model_from_config(config)
-    block = _block(config, "simulate")
-    gamma = _number(block, "gamma", "simulate")
-    horizon = _number(block, "horizon", "simulate", _integer)
-    seed = _resolve_seed(args, block, "simulate")
-    try:
-        cfg = SimulationConfig(gamma_bar=gamma, horizon=horizon, seed=seed)
-    except ValueError as exc:
-        raise ConfigError(f"simulate: {exc}") from exc
+    fields = _read(config, "simulate", args.seed)
+    cfg = SimulationConfig(gamma_bar=fields["gamma"], horizon=fields["horizon"],
+                           seed=fields["seed"])
     traj = simulate_rre(model, cfg)
 
     out = _out_dir(args)
@@ -201,16 +219,9 @@ def cmd_simulate(args) -> int:
 def cmd_invariant(args) -> int:
     config = _load_config(args.config)
     model = _model_from_config(config)
-    block = _block(config, "invariant")
-    gamma = _number(block, "gamma", "invariant")
-    n_samples = _number(block, "n_samples", "invariant", _integer)
-    burn_in = _number(block, "burn_in", "invariant", _integer)
-    seed = _resolve_seed(args, block, "invariant")
-    try:
-        cfg = SimulationConfig(gamma_bar=gamma, n_samples=n_samples,
-                               burn_in=burn_in, seed=seed)
-    except ValueError as exc:
-        raise ConfigError(f"invariant: {exc}") from exc
+    fields = _read(config, "invariant", args.seed)
+    cfg = SimulationConfig(gamma_bar=fields["gamma"], n_samples=fields["n_samples"],
+                           burn_in=fields["burn_in"], seed=fields["seed"])
     dist = sample_invariant(model, cfg)
     dist.require_finite()
 
@@ -227,12 +238,11 @@ def cmd_invariant(args) -> int:
 def cmd_rate(args) -> int:
     config = _load_config(args.config)
     model = _model_from_config(config)
-    block = _block(config, "rate")
-    pred = _predicate_from_block(block, "rate")
-    k_cap = _number(block, "k_cap", "rate", _integer, default=DEFAULT_K_CAP)
+    fields = _read(config, "rate")
 
     p_star = solve_dare(model).p_star
-    solution = rate_over_set(model, pred, k_cap=k_cap, p_star=p_star)
+    solution = rate_over_set(model, fields["predicate"], k_cap=fields["k_cap"],
+                             p_star=p_star)
     payload = solution.to_dict()
     payload["method"] = "enumeration"
 
@@ -270,18 +280,10 @@ _FIT_HEADER = [
 def cmd_exponent(args) -> int:
     config = _load_config(args.config)
     model = _model_from_config(config)
-    block = _block(config, "exponent")
-    pred = _predicate_from_block(block, "exponent")
-    grid = _number(block, "gamma_grid", "exponent", _floats)
-    n_samples = _number(block, "n_samples", "exponent", _integer)
-    burn_in = _number(block, "burn_in", "exponent", _integer)
-    seed = _resolve_seed(args, block, "exponent")
-
-    try:
-        fit = decay_exponent_fit(model, pred, grid, n_samples=n_samples,
-                                 burn_in=burn_in, seed=seed)
-    except ValueError as exc:
-        raise ConfigError(f"exponent: {exc}") from exc
+    fields = _read(config, "exponent", args.seed)
+    fit = decay_exponent_fit(model, fields["predicate"], fields["gamma_grid"],
+                             n_samples=fields["n_samples"], burn_in=fields["burn_in"],
+                             seed=fields["seed"])
 
     out = _out_dir(args)
     prob_rows, fit_row = _fit_rows(fit)
@@ -295,7 +297,7 @@ def cmd_exponent(args) -> int:
 def cmd_reproduce_scalar(args) -> int:
     model = scalar_study_model()
     grid = STUDY_GRID_FULL if args.full else STUDY_GRID
-    seed = args.seed if args.seed is not None else STUDY_SEED
+    seed = STUDY_SEED if args.seed is None else _value("option", "--seed", _seed, args.seed)
 
     p_star = solve_dare(model).p_star
     radius = 40.0 - p_star.item()

@@ -8,7 +8,7 @@ must pass before the iteration theory applies (`validate_system`).
 
 from __future__ import annotations
 
-import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -187,9 +187,9 @@ class SystemModel:
 
     A is the N x N state transition, C the M x N observation map, Q and R the
     process and observation noise covariances, and P0 the starting covariance
-    of the iteration.  Shape errors are raised immediately and name the
-    offending field; spectral admissibility is a separate, reportable step
-    (`validate_system`).
+    of the iteration.  A bad shape, or an entry that is not a finite number
+    (a boolean or text included), raises at once and names the field;
+    spectral admissibility is a separate, reportable step (`validate_system`).
     """
 
     __slots__ = ("A", "C", "Q", "R", "P0")
@@ -197,11 +197,11 @@ class SystemModel:
     def __init__(self, A, C, Q, R, P0) -> None:
         A = _as_array_2d("A", A)
         if A.shape[0] != A.shape[1]:
-            raise ValueError(f"A must be square, got shape {A.shape}")
+            raise ValueError(f'"A" must be square, got shape {A.shape}')
         n = A.shape[0]
         C = _as_array_2d("C", C)
         if C.shape[1] != n:
-            raise ValueError(f"C must have {n} columns to match A, got shape {C.shape}")
+            raise ValueError(f'"C" must have {n} columns to match "A", got shape {C.shape}')
         Q = _as_sym_field("Q", Q, n)
         R = _as_sym_field("R", R, C.shape[0])
         P0 = _as_sym_field("P0", P0, n)
@@ -221,17 +221,6 @@ class SystemModel:
     def dim_obs(self) -> int:
         return self.C.shape[0]
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "SystemModel":
-        missing = [k for k in ("A", "C", "Q", "R", "P0") if k not in d]
-        if missing:
-            raise ValueError(f"model config missing fields: {', '.join(missing)}")
-        return cls(A=d["A"], C=d["C"], Q=d["Q"], R=d["R"], P0=d["P0"])
-
-    @classmethod
-    def from_json(cls, text: str) -> "SystemModel":
-        return cls.from_dict(json.loads(text))
-
     def to_dict(self) -> dict:
         return {
             "A": self.A.tolist(),
@@ -241,9 +230,6 @@ class SystemModel:
             "P0": self.P0.a.tolist(),
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
     def __repr__(self) -> str:
         return (
             f"SystemModel(A={self.A.tolist()}, C={self.C.tolist()}, "
@@ -252,24 +238,35 @@ class SystemModel:
 
 
 def _as_array_2d(name: str, value) -> np.ndarray:
-    a = np.array(value, dtype=float)
-    if a.ndim == 0:
-        a = a.reshape(1, 1)
-    elif a.ndim == 1:
+    """value as a float matrix; a scalar is 1x1 and a flat list one row.
+
+    Entries are checked one by one: np.array reads a boolean inside a row
+    of numbers, as in [[1.2, True]], as a float without complaint.
+    """
+    try:
+        a = np.array(value, dtype=object)
+        numbers = all(isinstance(x, (int, float, np.integer, np.floating))
+                      and not isinstance(x, bool) and math.isfinite(x) for x in a.flat)
+    except (ValueError, OverflowError):
+        numbers = False
+    if not numbers:
+        raise ValueError(f'"{name}" entries must be finite numbers, got {value!r}')
+    a = a.astype(float)
+    if a.ndim < 2:
         a = a.reshape(1, -1)
     if a.ndim != 2:
-        raise ValueError(f"{name} must be a matrix, got {a.ndim} dimensions")
-    if not np.all(np.isfinite(a)):
-        raise ValueError(f"{name} entries must be finite")
+        raise ValueError(f'"{name}" must be a matrix, got {a.ndim} dimensions')
     return a
 
 def _as_sym_field(name: str, value, expected_dim: int) -> SymMatrix:
+    if not isinstance(value, SymMatrix):
+        value = _as_array_2d(name, value)
     try:
         s = as_sym(value)
     except ValueError as exc:
-        raise ValueError(f"{name}: {exc}") from exc
+        raise ValueError(f'"{name}": {exc}') from exc
     if s.dim != expected_dim:
-        raise ValueError(f"{name} must be {expected_dim}x{expected_dim}, got {s.dim}x{s.dim}")
+        raise ValueError(f'"{name}" must be {expected_dim}x{expected_dim}, got {s.dim}x{s.dim}')
     return s
 
 

@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riccati_mdp import SimulationConfig, SystemModel, cli, montecarlo, rate_over_set
 from riccati_mdp.models import scalar_study_model
@@ -78,15 +80,29 @@ class TestValidate:
         assert cli.main(["validate", "--config", str(tmp_path / "nope.json")]) == 2
         assert "not found" in capsys.readouterr().err
 
+    def test_config_directory_exits_two(self, tmp_path, capsys):
+        assert cli.main(["validate", "--config", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and str(tmp_path) in err
+
     def test_malformed_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         assert cli.main(["validate", "--config", str(path)]) == 2
         assert "not valid JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("data", [b"\xff\xfe{}", b"[" * 100_000 + b"]" * 100_000],
+                             ids=["not-utf8", "too-deep"])
+    def test_unreadable_json_exits_two(self, tmp_path, capsys, data):
+        path = tmp_path / "config.json"
+        path.write_bytes(data)
+        assert cli.main(["validate", "--config", str(path)]) == 2
+        assert f"config file {path} is not valid JSON" in capsys.readouterr().err
+
     def test_malformed_model_block(self, tmp_path, capsys):
         cfg = write_config(tmp_path, model={"A": [[1.0]]})
         assert cli.main(["validate", "--config", cfg]) == 2
+        assert 'missing "C"' in capsys.readouterr().err
 
     def test_indefinite_q_prints_the_report(self, tmp_path, capsys):
         model = {**SCALAR_MODEL, "A": [[1.2]], "Q": [[-1.0]]}
@@ -113,14 +129,99 @@ class TestConfigFields:
         ("exponent", EXPONENT_BLOCK, "seed", False),
         ("rate", {"predicate": "ballc:5.0"}, "k_cap", 22.5),
         ("rate", {"predicate": "ballc:5.0"}, "k_cap", True),
+        ("simulate", SIMULATE_BLOCK, "gamma", "0.7"),
+        ("simulate", SIMULATE_BLOCK, "horizon", "10"),
+        ("simulate", SIMULATE_BLOCK, "seed", "3"),
+        ("simulate", SIMULATE_BLOCK, "seed", -1),
+        ("rate", {}, "predicate", 5.0),
+        ("validate", SCALAR_MODEL, "A", [["1.4142135623730951"]]),
+        ("validate", SCALAR_MODEL, "Q", [[True]]),
+        ("validate", PLANAR_MODEL, "A", [[1.2, True], [0.0, 0.8]]),
     ], ids=["grid-number", "n_samples-list", "seed-list", "gamma-null", "gamma-bool",
             "horizon-fraction", "seed-fraction", "n_samples-bool", "burn_in-fraction",
-            "grid-bool", "seed-bool", "k_cap-fraction", "k_cap-bool"])
+            "grid-bool", "seed-bool", "k_cap-fraction", "k_cap-bool", "gamma-text",
+            "horizon-text", "seed-text", "seed-negative", "predicate-number",
+            "A-text", "Q-bool", "A-mixed-row"])
     def test_wrong_type_exits_two(self, tmp_path, capsys, command, block, key, value):
-        cfg = write_config(tmp_path, **{command: {**block, key: value}})
+        # "validate" reads only the model block, so its cases edit that block.
+        name = "model" if command == "validate" else command
+        cfg = write_config(tmp_path, **{name: {**block, key: value}})
         assert cli.main([command, "--config", cfg]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and f'"{key}"' in err
+
+    @pytest.mark.parametrize("payload, key, allowed", [
+        ({"rate": {"predicate": "ballc:5.0", "kcap": 3}}, "kcap", "k_cap"),
+        ({"model": {**SCALAR_MODEL, "B": [[1.0]]}}, "B", "P0"),
+        ({"ratee": {"predicate": "ballc:5.0"}}, "ratee", "rate"),
+        ({"validate": {}}, "validate", "model"),
+    ], ids=["kcap", "model-key", "ratee", "validate-block"])
+    def test_unknown_key_exits_two(self, tmp_path, capsys, payload, key, allowed):
+        blocks = {"model": SCALAR_MODEL, "rate": {"predicate": "ballc:5.0"}, **payload}
+        cfg = write_config(tmp_path, **blocks)
+        assert cli.main(["rate", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f'unknown key "{key}"' in captured.err and f'"{allowed}"' in captured.err
+
+    @pytest.mark.parametrize("text", ["5", "null", "[]", '"model"'])
+    def test_non_object_config_exits_two(self, tmp_path, capsys, text):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        assert cli.main(["validate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "must be a JSON object" in err
+
+    @pytest.mark.parametrize("command", ["simulate", "invariant", "exponent",
+                                         "reproduce-scalar"])
+    def test_negative_seed_option_exits_two(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, simulate=SIMULATE_BLOCK, invariant=INVARIANT_BLOCK,
+                           exponent=EXPONENT_BLOCK)
+        out = tmp_path / "out"
+        config = [] if command == "reproduce-scalar" else ["--config", cfg]
+        assert cli.main([command, *config, "--out", str(out), "--seed", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and '"--seed"' in err
+        assert not out.exists()
+
+
+# Any JSON value, including the ones a reader must refuse: null, booleans,
+# text, nested lists, objects, an integer beyond float range, inf and NaN.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.just(10**400) | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=12)
+VALID_BLOCKS = {"model": SCALAR_MODEL, "simulate": SIMULATE_BLOCK,
+                "invariant": INVARIANT_BLOCK, "rate": {"predicate": "ballc:5.0"},
+                "exponent": EXPONENT_BLOCK}
+
+
+class TestConfigReader:
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_any_json_reads_or_raises_config_error(self, data):
+        name = data.draw(st.sampled_from(sorted(cli._TABLES)))
+        key = data.draw(st.sampled_from(sorted(cli._TABLES[name]) + ["other"]))
+        value = data.draw(JSON_VALUES)
+        config = data.draw(st.sampled_from([
+            {**VALID_BLOCKS, name: {**VALID_BLOCKS[name], key: value}},
+            {**VALID_BLOCKS, name: value},
+            value,
+        ]))
+        seed = data.draw(st.none() | st.integers())
+        try:
+            if name == "model":
+                assert isinstance(cli._model_from_config(config, check=False), SystemModel)
+            else:
+                assert set(cli._read(config, name, seed)) == set(cli._TABLES[name])
+        except cli.ConfigError:
+            pass
+
+    def test_valid_blocks_read(self):
+        # Otherwise every example above would stop at the same bad field.
+        assert cli._model_from_config(VALID_BLOCKS).dim_state == 1
+        for name in ("simulate", "invariant", "rate", "exponent"):
+            assert set(cli._read(VALID_BLOCKS, name)) == set(cli._TABLES[name])
 
 
 class TestSimulate:
@@ -492,6 +593,16 @@ class TestReadmeExamples:
         capsys.readouterr()
         assert cli.main(["rate", "--config", str(cfg)]) == 0
         assert json.loads(capsys.readouterr().out)["exponent"] == 4
+
+    def test_config_runs_every_subcommand(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(_readme_block("json"))
+        artifacts = {"simulate": "trajectory.csv", "invariant": "samples.csv",
+                     "rate": "rate.json", "exponent": "fit.csv"}
+        for command, artifact in artifacts.items():
+            out = tmp_path / command
+            assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 0
+            assert (out / artifact).exists()
 
 
 class TestBenchTargets:
