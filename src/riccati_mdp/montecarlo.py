@@ -1,14 +1,13 @@
 """Seeded Monte-Carlo sampling of the covariance chain, and its analytics.
 
-Reproducibility protocol: one sampling run draws its arrival bits from a
-counter-based Philox generator keyed by the run's seed tuple (Salmon, Moraes,
-Dror and Shaw, "Parallel random numbers: as easy as 1, 2, 3", SC'11).  Chain
-i reads row i of an (n_chains, steps) block of uniforms, whatever the chain
-count, so the first chains of a large run are those of a small run with the
-same seed.  A sweep over arrival rates derives per-gridpoint seed tuples as
-(master seed, gridpoint index).  A uniform is the raw Philox word w as
-(w >> 11) * 2^-53, so u < gamma_bar exactly when w < ceil(gamma_bar * 2^53)
-* 2^11, and the bits are thresholded on the raw words.
+Reproducibility protocol: one sampling run draws its arrival bits from the
+keyed Philox stream of its seed tuple (`operators._stream`).  Chain i reads
+row i of an (n_chains, steps) block of uniforms, whatever the chain count, so
+the first chains of a large run are those of a small run with the same seed.
+A sweep over arrival rates derives per-gridpoint seed tuples as (master seed,
+gridpoint index).  A uniform is the raw Philox word w as (w >> 11) * 2^-53,
+so u < gamma_bar exactly when w < ceil(gamma_bar * 2^53) * 2^11, and the bits
+are thresholded on the raw words.
 
 The block is read row-major, so the (2n, B) block of a stream is its (n, 2B)
 block reshaped: row i of the latter is rows 2i and 2i + 1 of the former.  The
@@ -48,7 +47,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .linalg import SymMatrix, as_sym, norms, norms_exceed, spectral_norm
-from .operators import _entry, solve_dare, step, uniform_bound_kappa
+from .operators import _entry, _stream, solve_dare, step, uniform_bound_kappa
 from .rate import EventPredicate
 
 # Uniforms drawn per chunk when building arrival bits; bounds the float64
@@ -107,18 +106,16 @@ def _arrival_bits(seed_tuple: tuple, gamma_bar: float, n: int,
                   steps: int) -> np.ndarray:
     """Arrival bits of n chains, shape (n, steps).
 
-    The run's (n, steps) uniform block, drawn row by row from one Philox
-    stream keyed by the seed tuple and thresholded at gamma_bar in (0, 1].
-    The raw words are compared against `_word_threshold`, so the bits equal
-    `Generator(Philox(key)).random((n, steps)) < gamma_bar`.
+    The run's (n, steps) uniform block of the seed tuple's stream, row-major,
+    thresholded at gamma_bar in (0, 1] on the raw words (`_word_threshold`),
+    so the bits equal `_stream(seed_tuple).random((n, steps)) < gamma_bar`.
     """
     bits = np.empty((n, steps), dtype=bool)
     if gamma_bar >= 1.0:
         bits.fill(True)
         return bits
     threshold = np.uint64(_word_threshold(gamma_bar))
-    key = np.random.SeedSequence(seed_tuple).generate_state(2, np.uint64)
-    words = np.random.Philox(key=key)
+    words = _stream(seed_tuple).bit_generator
     flat = bits.reshape(-1)
     for i in range(0, flat.size, _DRAW_CHUNK):
         chunk = flat[i:i + _DRAW_CHUNK]
@@ -460,8 +457,7 @@ class TailBound:
 
 
 def tail_bound(m, gamma_bar: float, threshold: float,
-               p0: Optional[SymMatrix] = None, kappa: Optional[float] = None,
-               seed: int = 0) -> TailBound:
+               p0: Optional[SymMatrix] = None, kappa: Optional[float] = None) -> TailBound:
     """Geometric tail bound on the running covariance norm.
 
     After any window of N = state-dimension consecutive arrivals the iterate
@@ -475,15 +471,16 @@ def tail_bound(m, gamma_bar: float, threshold: float,
 
         sup_t P(||P_t|| > M) <= r^k(M) / ((1 - gamma_bar^N) * (1 - r)).
 
-    kappa defaults to the calibrated uniform bound of the model, which
-    `uniform_bound_kappa` caches per model and seed, so a bound per threshold
-    calibrates once; pass an explicit kappa to reproduce a bound computed
-    elsewhere.
+    kappa defaults to the model's calibrated uniform bound, which
+    `uniform_bound_kappa` caches per model; an explicit kappa, finite and
+    positive, reproduces a bound computed elsewhere.
     """
     if not 0.0 < gamma_bar < 1.0:
         raise ValueError(f"gamma_bar must be in (0, 1), got {gamma_bar}")
     if not threshold > 0.0:
         raise ValueError(f"threshold must be positive, got {threshold}")
+    if kappa is not None and not 0.0 < kappa < math.inf:
+        raise ValueError(f"kappa must be finite and positive, got {kappa}")
     p0 = _resolve_p0(m, p0)
     alpha = float(np.linalg.norm(m.A, 2))
     if alpha <= 1.0:
@@ -491,7 +488,7 @@ def tail_bound(m, gamma_bar: float, threshold: float,
                          k_of_m=None, bound=None, vacuous=False, alpha=alpha,
                          kappa=None, kappa1=None)
     if kappa is None:
-        kappa = uniform_bound_kappa(m, seed=seed)
+        kappa = uniform_bound_kappa(m)
     kappa1 = max(kappa, float(norms(p0)[0]))
     q_norm = spectral_norm(m.Q)
     a2 = alpha * alpha
@@ -529,8 +526,8 @@ def exceedance_sup(m, gamma_bar: float, thresholds: Sequence[float], horizon: in
     All thresholds share one batch of chains (chain i reads row i of the
     run's uniform block, as everywhere else), so the frequencies are
     comparable across thresholds.  Raises ValueError unless gamma_bar is in
-    (0, 1], n_chains >= 1, horizon >= 0 and a threshold is given, and
-    RuntimeError when any chain went non-finite within the horizon.
+    (0, 1], n_chains >= 1, horizon >= 0 and thresholds are given, none NaN,
+    and RuntimeError when any chain went non-finite within the horizon.
     """
     thresholds = tuple(float(t) for t in thresholds)
     if not 0.0 < gamma_bar <= 1.0:
@@ -539,12 +536,10 @@ def exceedance_sup(m, gamma_bar: float, thresholds: Sequence[float], horizon: in
         raise ValueError(f"n_chains must be >= 1, got {n_chains}")
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
-    if not thresholds:
-        raise ValueError("need at least one threshold")
+    if not thresholds or any(math.isnan(t) for t in thresholds):
+        raise ValueError(f"need at least one threshold and no NaN, got {thresholds}")
     p0 = _resolve_p0(m, p0)
-    seed_tuple = _as_seed_tuple(seed)
-
-    bits = _arrival_bits(seed_tuple, gamma_bar, n_chains, horizon)
+    bits = _arrival_bits(_as_seed_tuple(seed), gamma_bar, n_chains, horizon)
 
     p = np.repeat(p0, n_chains, axis=0)
     sup_freq = [0.0] * len(thresholds)

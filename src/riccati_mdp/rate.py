@@ -40,7 +40,7 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from .linalg import DEFAULT_ORDER_TOL, SymMatrix, as_sym, norms, norms_exceed
-from .operators import _entry, _random_psd_array, lyapunov_step, solve_dare, step
+from .operators import _SCREEN, _entry, _random_psd_array, _stream, lyapunov_step, solve_dare, step
 from .strings import DEDUP_TOL, GammaString, _fold_groups, _grid_keys, _next_level
 
 # Hard ceiling on enumeration depth: 2^26 states is the direct-search limit.
@@ -197,32 +197,28 @@ class ClassAReport:
         return self.scalar_proof or self.counterexample is None
 
 
-def is_class_A(m, trials: int = 200, seed: int = 0,
-               p_star: Optional[SymMatrix] = None) -> ClassAReport:
+def is_class_A(m, p_star: Optional[SymMatrix] = None) -> ClassAReport:
     """Scalar models: analytic yes.  Otherwise randomized screening.
 
-    Samples X = f0(P*) + W with W a random PSD bump at log-uniform scales in
-    [1e-3, 1e4] and checks f1(X) <= X in the Loewner order, at the tolerance
-    of `loewner_leq`.  All trials step as one stack through `operators.step`
-    and are decided by one batched eigendecomposition; the counterexample
-    is the first failing trial.
+    Samples 200 X = f0(P*) + W with W a random PSD bump at log-uniform scales
+    in [1e-3, 1e4], scales and then normals drawn as blocks of the screen
+    stream, and checks f1(X) <= X in the Loewner order at the tolerance of
+    `loewner_leq`, stepping them as one stack and deciding them by one
+    batched eigendecomposition.  The counterexample is the first failing one.
     """
     if m.dim_state == 1:
         return ClassAReport(scalar_proof=True, trials_run=0, counterexample=None)
     if p_star is None:
         p_star = solve_dare(m).p_star
-    n = m.dim_state
-    base = lyapunov_step(m, p_star).a
-    rng = np.random.default_rng(seed)
-    # Each trial draws its scale, then its bump, from the one generator.
-    xs = np.array([base + _random_psd_array(rng, n, 10.0 ** rng.uniform(-3.0, 4.0))
-                   for _ in range(trials)]).reshape(-1, n, n)
+    rng = _stream((0,), _SCREEN)
+    scales = 10.0 ** rng.uniform(-3.0, 4.0, 200)
+    xs = lyapunov_step(m, p_star).a + _random_psd_array(rng, m.dim_state, scales)
     f1 = step(m, xs, np.ones(len(xs), dtype=bool))
     lam_min = np.linalg.eigvalsh(xs - f1).min(axis=-1)
     # NaN fails, as in `loewner_leq`.
     failed = np.flatnonzero(~(lam_min >= -DEFAULT_ORDER_TOL * (1.0 + norms(f1) + norms(xs))))
     counterexample = SymMatrix(xs[failed[0]]) if failed.size else None
-    return ClassAReport(scalar_proof=False, trials_run=trials, counterexample=counterexample)
+    return ClassAReport(scalar_proof=False, trials_run=len(xs), counterexample=counterexample)
 
 
 @dataclass(frozen=True)

@@ -143,15 +143,18 @@ def step_broadcast(m, p, bits):
     return (out + np.transpose(out, (0, 2, 1))) / 2.0
 
 
-def class_a_screen_loop(m, p_star, trials, seed, tol=1e-9):
+def class_a_screen_loop(m, p_star, trials=200, tol=1e-9):
     """Frozen copy of the one-trial-at-a-time class A screen of matrix models.
 
-    Each trial draws a log-uniform scale, then a PSD bump G G^T * scale / N,
-    adds it to f0(P*), and stops at the first X without f1(X) <= X, at the
-    `loewner_leq` tolerance lambda_min(X - f1(X)) >= -tol (1 + ||f1(X)|| +
-    ||X||).  The maps are `step_broadcast` on a batch of one, and every
-    symmetrization of the package's matrix wrapper is kept.  p_star is an
-    (N, N) array.  Returns the first counterexample, or None.
+    The screen's stream is Philox keyed by SeedSequence((0,), spawn_key=(2,)),
+    restated here.  It holds the trials' uniforms, then their normals, so two
+    copies of it are read: one for the scales and one, past the uniforms,
+    for the bumps.  Each trial takes a log-uniform scale, then a PSD bump
+    G G^T * scale / N, adds it to f0(P*), and stops at the first X without
+    f1(X) <= X, at the `loewner_leq` tolerance lambda_min(X - f1(X)) >= -tol
+    (1 + ||f1(X)|| + ||X||).  The maps are `step_broadcast` on a batch of
+    one, and every symmetrization of the package's matrix wrapper is kept.
+    p_star is an (N, N) array.  Returns the first counterexample, or None.
     """
     def sym(x):
         return (x + x.T) / 2.0
@@ -159,12 +162,17 @@ def class_a_screen_loop(m, p_star, trials, seed, tol=1e-9):
     def norm(x):
         return float(np.max(np.abs(np.linalg.eigvalsh(x[None])), axis=-1)[0])
 
+    def stream():
+        key = np.random.SeedSequence((0,), spawn_key=(2,)).generate_state(2, np.uint64)
+        return np.random.Generator(np.random.Philox(key=key))
+
     n = p_star.shape[0]
     base = sym(step_broadcast(m, p_star[None], np.zeros(1, dtype=bool))[0])
-    rng = np.random.default_rng(seed)
+    rng, normals = stream(), stream()
+    normals.random(trials)
     for _ in range(trials):
         scale = 10.0 ** rng.uniform(-3.0, 4.0)
-        g = rng.standard_normal((n, n))
+        g = normals.standard_normal((n, n))
         bump = sym(sym(g @ g.T * (scale / n)))
         x = sym(base + bump)
         fx = sym(step_broadcast(m, x[None], np.ones(1, dtype=bool))[0])

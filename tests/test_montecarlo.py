@@ -1,4 +1,7 @@
+import ast
+import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -180,6 +183,43 @@ class TestArrivalStreams:
         small = SimulationConfig(gamma_bar=0.7, n_samples=120, burn_in=60, seed=21)
         assert np.array_equal(sample_invariant(model, big).samples[:120],
                               sample_invariant(model, small).samples)
+
+    def test_planar_chain_bytes_pinned(self, planar):
+        # The study's pins in test_cli.py cover N = 1; these cover the N = 2
+        # chains, through the sampler and through the exceedance scan.
+        cfg = SimulationConfig(gamma_bar=0.7, n_samples=300, burn_in=60, seed=(5, 2))
+        sample = sample_invariant(planar, cfg).samples
+        rep = exceedance_sup(planar, 0.7, (5.0, 20.0, 100.0), horizon=80, n_chains=400,
+                             seed=(7, 1))
+        assert hashlib.sha256(sample.tobytes()).hexdigest() == (
+            "a543e02ef351d472202b5059468b27e00f375b2adad7a38955f5290fc519d6d9")
+        assert hashlib.sha256(repr((rep.sup_frequency, rep.argmax_t)).encode()).hexdigest() == (
+            "1327786fa1c6b3d50eb18c6083d7351d217bad474efae6d9137babb81690528f")
+
+    def test_purpose_streams_share_no_words_with_chains(self):
+        def first_words(*key):
+            return set(operators._stream(*key).bit_generator.random_raw(4).tolist())
+
+        chains = set()
+        for s in range(40):
+            chains |= first_words((s,))
+            for j in range(40):
+                chains |= first_words((s, j))
+        for purpose in (operators._CALIBRATION, operators._SCREEN):
+            assert not first_words((0,), purpose) & chains
+
+    def test_one_function_keys_random_streams(self):
+        # Every random draw of the package reads `operators._stream`.
+        builders = {"default_rng", "SeedSequence", "Philox", "Generator", "RandomState"}
+        found = set()
+        for path in sorted(Path(operators.__file__).parent.glob("*.py")):
+            for top in ast.parse(path.read_text()).body:
+                for node in ast.walk(top):
+                    if isinstance(node, ast.Call):
+                        name = ast.unparse(node.func)
+                        if name.startswith("np.random.") or name.split(".")[-1] in builders:
+                            found.add((path.name, getattr(top, "name", None)))
+        assert found == {("operators.py", "_stream")}
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -375,6 +415,11 @@ class TestTailBound:
             tail_bound(scalar_model, 1.0, 50.0)
         with pytest.raises(ValueError):
             tail_bound(scalar_model, 0.7, 0.0)
+        # A kappa at or below zero would shrink the bound below the
+        # calibrated one (0.0116 against 0.129 here), which is unsound.
+        for kappa in (0.0, -5.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="kappa"):
+                tail_bound(scalar_model, 0.7, 50.0, kappa=kappa)
 
     def test_kappa_calibrated_once_per_model(self, monkeypatch):
         calls = []
@@ -415,9 +460,9 @@ class TestExceedance:
     @pytest.mark.parametrize("kwargs", [
         {"gamma_bar": 1.5}, {"gamma_bar": 0.0}, {"gamma_bar": -1.0},
         {"gamma_bar": math.nan}, {"n_chains": 0}, {"horizon": -1},
-        {"thresholds": []},
+        {"thresholds": []}, {"thresholds": [50.0, math.nan]},
     ], ids=["gamma-above-one", "gamma-zero", "gamma-negative", "gamma-nan",
-            "no-chains", "negative-horizon", "no-thresholds"])
+            "no-chains", "negative-horizon", "no-thresholds", "nan-threshold"])
     def test_rejects_bad_inputs(self, scalar_model, kwargs):
         args = {"gamma_bar": 0.6, "thresholds": [50.0], "horizon": 20,
                 "n_chains": 10, "seed": 6, **kwargs}

@@ -283,7 +283,7 @@ class TestUniformBound:
         # The guarantee is N-step (N = state dimension): one measurement per
         # state coordinate.  One step is not enough for the planar model,
         # where f1 along ker(C) directions is unbounded.
-        kappa = uniform_bound_kappa(model, seed=0)
+        kappa = uniform_bound_kappa(model)
         assert math.isfinite(kappa) and kappa > 0.0
         n = model.dim_state
         rng = np.random.default_rng(23)
@@ -309,7 +309,7 @@ class TestUniformBound:
     def test_deterministic(self, scalar_model):
         # Past the per-model cache, so the calibration itself runs twice.
         calibrate = uniform_bound_kappa.__wrapped__
-        assert calibrate(scalar_model, seed=4) == calibrate(scalar_model, seed=4)
+        assert calibrate(scalar_model) == calibrate(scalar_model)
 
 
 class TestRandomPsd:

@@ -173,8 +173,8 @@ class TestClassA:
         assert report.trials_run == 0
 
     def test_planar_screen_finds_counterexample(self, planar):
-        report = is_class_A(planar, trials=300, seed=11)
-        assert not report.scalar_proof
+        report = is_class_A(planar)
+        assert not report.scalar_proof and report.trials_run == 200
         assert not report.passed
         x = report.counterexample
         assert x is not None
@@ -184,7 +184,7 @@ class TestClassA:
         assert defect < -1e-6
 
     def test_counterexample_dominates_open_loop_image(self, planar, planar_pstar):
-        report = is_class_A(planar, trials=300, seed=11)
+        report = is_class_A(planar)
         base = lyapunov_step(planar, planar_pstar)
         assert loewner_leq(base, report.counterexample)
 
@@ -199,19 +199,16 @@ class TestClassA:
             for n in (2, 3):
                 models.append(_random_model(np.random.default_rng(seed), n, 1 + seed % 2))
         verdicts = set()
-        for seed, m in enumerate(models):
+        for m in models:
             if validate_system(m).passed:
                 p_star = solve_dare(m).p_star
-                report = is_class_A(m, trials=120, seed=seed, p_star=p_star)
-                want = oracles.class_a_screen_loop(m, p_star.a, 120, seed)
+                report = is_class_A(m, p_star=p_star)
+                want = oracles.class_a_screen_loop(m, p_star.a)
                 assert report.passed == (want is None)
                 if want is not None:
                     assert np.array_equal(report.counterexample.a, want)
                 verdicts.add((m.dim_state, report.passed))
         assert verdicts == {(2, True), (2, False), (3, True), (3, False)}
-
-    def test_no_trials_passes(self, planar):
-        assert is_class_A(planar, trials=0).passed
 
 
 class TestRateOverSet:
