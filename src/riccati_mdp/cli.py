@@ -260,12 +260,12 @@ def _fit_rows(fit) -> tuple[list, list]:
         [g, p, h, fit.n_samples, c]
         for g, p, h, c in zip(fit.gamma_grid, fit.probs, fit.hits, fit.censored)
     ]
-    drift = fit.burn_in_drift or {}
+    drift = fit.burn_in_drift
     fit_row = [
         fit.slope, fit.intercept, fit.stderr, fit.points_used,
         fit.n_samples, fit.burn_in,
-        drift.get("gamma_bar", ""), drift.get("p_at_burn_in", ""),
-        drift.get("p_at_doubled_burn_in", ""), drift.get("within_2se", ""),
+        drift["gamma_bar"], drift["p_at_burn_in"],
+        drift["p_at_doubled_burn_in"], drift["within_2se"],
     ]
     return prob_rows, fit_row
 

@@ -36,6 +36,10 @@ non-finite entry, fall back to an eigendecomposition.  The verdicts equal
 comparing `linalg.norms` directly.  A chain that overflows is counted, never
 silently scored: the analytics below raise RuntimeError when any chain is
 non-finite.
+
+Every chain starts at the model's P0: the invariant law does not depend on
+the start, so a different start is a different model,
+`SystemModel(**{**m.to_dict(), "P0": x})`.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .linalg import SymMatrix, as_sym, norms, norms_exceed, spectral_norm
+from .linalg import SymMatrix, norms, norms_exceed, spectral_norm
 from .operators import _entry, _stream, solve_dare, step, uniform_bound_kappa
 from .rate import EventPredicate
 
@@ -59,8 +63,8 @@ _DRAW_CHUNK = 1 << 16
 class SimulationConfig:
     """Knobs of one sampling run.
 
-    p0 of None means "use the model's P0".  The seed may be an int or a tuple
-    of ints; tuples are how sweeps hand out derived, non-colliding seeds.
+    The seed may be an int or a tuple of ints; tuples are how sweeps hand
+    out derived, non-colliding seeds.
     """
 
     gamma_bar: float
@@ -68,7 +72,6 @@ class SimulationConfig:
     burn_in: int = 0
     horizon: int = 0
     seed: int | tuple = 0
-    p0: Optional[SymMatrix] = None
 
     def __post_init__(self):
         if not 0.0 < self.gamma_bar <= 1.0:
@@ -79,8 +82,6 @@ class SimulationConfig:
             raise ValueError(f"burn_in must be >= 0, got {self.burn_in}")
         if self.horizon < 0:
             raise ValueError(f"horizon must be >= 0, got {self.horizon}")
-        if self.p0 is not None:
-            object.__setattr__(self, "p0", as_sym(self.p0))
 
     def seed_tuple(self) -> tuple:
         return _as_seed_tuple(self.seed)
@@ -131,11 +132,6 @@ def _count_non_finite(p: np.ndarray) -> int:
     return int(p.shape[0] - np.count_nonzero(finite.all(axis=(1, 2))))
 
 
-def _resolve_p0(m, p0: Optional[SymMatrix]) -> np.ndarray:
-    """p0, or the model's P0 when None, shape- and PSD-checked as a batch of one."""
-    return _entry(m, p0 if p0 is not None else m.P0, "P0")
-
-
 @dataclass(frozen=True)
 class Trajectory:
     """One simulated covariance path with the arrival bits that produced it."""
@@ -147,34 +143,25 @@ class Trajectory:
         return len(self.path)
 
 
-def simulate_rre(m, cfg: SimulationConfig,
-                 arrivals: Optional[Sequence[int]] = None) -> Trajectory:
+def simulate_rre(m, cfg: SimulationConfig) -> Trajectory:
     """Single chain over cfg.horizon steps; returns P_0..P_horizon and the bits.
 
-    `arrivals` overrides the random bit stream with a forced sequence (the
-    deterministic hook used to pin down corner cases); it must have exactly
-    horizon entries of 0 or 1.  The path advances through `operators.step`
-    on a batch of one, and a step that overflows raises RuntimeError naming
-    that step.
+    The path advances through `operators.step` on a batch of one.  A step
+    that leaves the range of `SymMatrix` raises RuntimeError naming that
+    step: one that overflows, and one past half the float maximum, where
+    symmetrizing as (X + X^T) / 2 overflows.
     """
-    p = _resolve_p0(m, cfg.p0)
-    t_max = cfg.horizon
-    if arrivals is None:
-        bits = _arrival_bits(cfg.seed_tuple(), cfg.gamma_bar, 1, t_max)[0].astype(int)
-    else:
-        bits = np.asarray(list(arrivals), dtype=int)
-        if bits.shape != (t_max,):
-            raise ValueError(f"need exactly {t_max} forced arrivals, got {bits.shape}")
-        if not np.all((bits == 0) | (bits == 1)):
-            raise ValueError("forced arrivals must be 0 or 1")
+    p = _entry(m, m.P0, "P0")
+    bits = _arrival_bits(cfg.seed_tuple(), cfg.gamma_bar, 1, cfg.horizon)
     path = [SymMatrix(p[0])]
-    for t in range(t_max):
-        p = step(m, p, bits[t:t + 1])
-        if _count_non_finite(p):
+    for t in range(cfg.horizon):
+        p = step(m, p, bits[:, t])
+        try:
+            path.append(SymMatrix(p[0]))
+        except ValueError:
             raise RuntimeError(f"the path went non-finite at step {t + 1} "
-                               f"(gamma_bar={cfg.gamma_bar})")
-        path.append(SymMatrix(p[0]))
-    return Trajectory(path=tuple(path), arrivals=tuple(int(b) for b in bits))
+                               f"(gamma_bar={cfg.gamma_bar})") from None
+    return Trajectory(path=tuple(path), arrivals=tuple(int(b) for b in bits[0]))
 
 
 @dataclass(frozen=True)
@@ -236,7 +223,7 @@ def sample_invariant(m, cfg: SimulationConfig) -> EmpiricalDistribution:
     Chain i's bits are row i of the run's uniform block; the whole stack of
     chains advances in lockstep through `operators.step`.
     """
-    p0 = _resolve_p0(m, cfg.p0)
+    p0 = _entry(m, m.P0, "P0")
     bits = _arrival_bits(cfg.seed_tuple(), cfg.gamma_bar, cfg.n_samples, cfg.burn_in)
     return _distribution(cfg, _run_chains(m, np.repeat(p0, cfg.n_samples, axis=0), bits))
 
@@ -250,7 +237,7 @@ def _sample_with_doubled_burn_in(
     sample 2i when 2i < n, else row 2i stepped from p0, stepped on through
     row 2i + 1.  Each column is gathered from the block, never copied whole.
     """
-    p0 = _resolve_p0(m, cfg.p0)
+    p0 = _entry(m, m.P0, "P0")
     n = cfg.n_samples
     bits = _arrival_bits(cfg.seed_tuple(), cfg.gamma_bar, 2 * n, cfg.burn_in)
     start = np.repeat(p0, n, axis=0)
@@ -298,7 +285,7 @@ class ExponentFit:
     n_samples: int
     burn_in: int
     seed: tuple
-    burn_in_drift: Optional[dict] = None
+    burn_in_drift: dict
     distributions: tuple = field(default=(), repr=False, compare=False)
 
     def to_dict(self) -> dict:
@@ -319,17 +306,15 @@ class ExponentFit:
 
 
 def decay_exponent_fit(m, pred: EventPredicate, gamma_grid: Sequence[float],
-                       n_samples: int, burn_in: int, seed: int | tuple,
-                       check_burn_in: bool = True,
-                       p0: Optional[SymMatrix] = None) -> ExponentFit:
+                       n_samples: int, burn_in: int, seed: int | tuple) -> ExponentFit:
     """Estimate the decay exponent of a rare event across an arrival-rate grid.
 
     For each gridpoint j, samples the chain with master seed (seed, j) and
     evaluates the event's hit fraction; the exponent is the slope of
     ln p_hat on ln(1 - gamma_bar) over the uncensored gridpoints.  At least
     three uncensored points are required for a slope with a standard error.
-    With check_burn_in, gridpoint 0 and its doubled burn-in share one draw
-    (see the module docstring); the drift is scored after the grid.
+    Gridpoint 0 and its doubled burn-in share one draw (see the module
+    docstring); the drift is scored after the grid.
     """
     grid = tuple(float(g) for g in gamma_grid)
     if len(grid) < 3:
@@ -342,11 +327,10 @@ def decay_exponent_fit(m, pred: EventPredicate, gamma_grid: Sequence[float],
     p_star = solve_dare(m).p_star
 
     probs, hits, dists = [], [], []
-    doubled = None
     for j, g in enumerate(grid):
         cfg = SimulationConfig(gamma_bar=g, n_samples=n_samples, burn_in=burn_in,
-                               seed=seed_tuple + (j,), p0=p0)
-        if j == 0 and check_burn_in:
+                               seed=seed_tuple + (j,))
+        if j == 0:
             dist, doubled = _sample_with_doubled_burn_in(m, cfg)
         else:
             dist = sample_invariant(m, cfg)
@@ -369,10 +353,7 @@ def decay_exponent_fit(m, pred: EventPredicate, gamma_grid: Sequence[float],
     sxx = float(np.sum((xs - xs.mean()) ** 2))
     stderr = float(np.sqrt(np.sum(resid**2) / dof / sxx)) if dof > 0 else math.nan
 
-    drift = None
-    if doubled is not None:
-        drift = _burn_in_drift(pred, probs[0], doubled, p_star)
-
+    drift = _burn_in_drift(pred, probs[0], doubled, p_star)
     return ExponentFit(
         gamma_grid=grid, probs=tuple(probs), hits=tuple(hits), censored=censored,
         slope=float(slope), intercept=float(intercept), stderr=stderr,
@@ -456,8 +437,7 @@ class TailBound:
         }
 
 
-def tail_bound(m, gamma_bar: float, threshold: float,
-               p0: Optional[SymMatrix] = None, kappa: Optional[float] = None) -> TailBound:
+def tail_bound(m, gamma_bar: float, threshold: float) -> TailBound:
     """Geometric tail bound on the running covariance norm.
 
     After any window of N = state-dimension consecutive arrivals the iterate
@@ -471,24 +451,20 @@ def tail_bound(m, gamma_bar: float, threshold: float,
 
         sup_t P(||P_t|| > M) <= r^k(M) / ((1 - gamma_bar^N) * (1 - r)).
 
-    kappa defaults to the model's calibrated uniform bound, which
-    `uniform_bound_kappa` caches per model; an explicit kappa, finite and
-    positive, reproduces a bound computed elsewhere.
+    kappa is the model's calibrated uniform bound, which
+    `uniform_bound_kappa` caches per model, and P0 is the model's.
     """
     if not 0.0 < gamma_bar < 1.0:
         raise ValueError(f"gamma_bar must be in (0, 1), got {gamma_bar}")
-    if not threshold > 0.0:
-        raise ValueError(f"threshold must be positive, got {threshold}")
-    if kappa is not None and not 0.0 < kappa < math.inf:
-        raise ValueError(f"kappa must be finite and positive, got {kappa}")
-    p0 = _resolve_p0(m, p0)
+    if not 0.0 < threshold < math.inf:
+        raise ValueError(f"threshold must be finite and positive, got {threshold}")
+    p0 = _entry(m, m.P0, "P0")
     alpha = float(np.linalg.norm(m.A, 2))
     if alpha <= 1.0:
         return TailBound(gamma_bar=gamma_bar, threshold=threshold, applicable=False,
                          k_of_m=None, bound=None, vacuous=False, alpha=alpha,
                          kappa=None, kappa1=None)
-    if kappa is None:
-        kappa = uniform_bound_kappa(m)
+    kappa = uniform_bound_kappa(m)
     kappa1 = max(kappa, float(norms(p0)[0]))
     q_norm = spectral_norm(m.Q)
     a2 = alpha * alpha
@@ -519,27 +495,23 @@ class ExceedanceReport:
 
 
 def exceedance_sup(m, gamma_bar: float, thresholds: Sequence[float], horizon: int,
-                   n_chains: int, seed: int | tuple,
-                   p0: Optional[SymMatrix] = None) -> ExceedanceReport:
+                   n_chains: int, seed: int | tuple) -> ExceedanceReport:
     """Empirical sup_t P(||P_t|| > M) over t = 0..horizon for each M.
 
     All thresholds share one batch of chains (chain i reads row i of the
     run's uniform block, as everywhere else), so the frequencies are
-    comparable across thresholds.  Raises ValueError unless gamma_bar is in
-    (0, 1], n_chains >= 1, horizon >= 0 and thresholds are given, none NaN,
-    and RuntimeError when any chain went non-finite within the horizon.
+    comparable across thresholds.  gamma_bar, n_chains, horizon and seed are
+    checked as a `SimulationConfig` with n_chains samples; ValueError also
+    when no threshold is given or one is NaN, and RuntimeError when any
+    chain went non-finite within the horizon.
     """
+    cfg = SimulationConfig(gamma_bar=gamma_bar, n_samples=n_chains, horizon=horizon,
+                           seed=seed)
     thresholds = tuple(float(t) for t in thresholds)
-    if not 0.0 < gamma_bar <= 1.0:
-        raise ValueError(f"gamma_bar must be in (0, 1], got {gamma_bar}")
-    if n_chains < 1:
-        raise ValueError(f"n_chains must be >= 1, got {n_chains}")
-    if horizon < 0:
-        raise ValueError(f"horizon must be >= 0, got {horizon}")
     if not thresholds or any(math.isnan(t) for t in thresholds):
         raise ValueError(f"need at least one threshold and no NaN, got {thresholds}")
-    p0 = _resolve_p0(m, p0)
-    bits = _arrival_bits(_as_seed_tuple(seed), gamma_bar, n_chains, horizon)
+    p0 = _entry(m, m.P0, "P0")
+    bits = _arrival_bits(cfg.seed_tuple(), gamma_bar, n_chains, horizon)
 
     p = np.repeat(p0, n_chains, axis=0)
     sup_freq = [0.0] * len(thresholds)

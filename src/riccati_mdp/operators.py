@@ -19,6 +19,7 @@ arrival bits included, reads blocks of one keyed Philox stream (`_stream`).
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,8 @@ from .linalg import DEFAULT_ORDER_TOL, SymMatrix, as_sym, norms, step_exceeds
 # Iterates are symmetrized every step; this is the PSD slack allowed on inputs.
 _PSD_INPUT_TOL = 1e-8
 _DARE_MAX_ITERATIONS = 100_000
+# `solve_dare` stops once a step is below _DARE_TOL * (1 + ||X||).
+_DARE_TOL = 1e-12
 # Purposes of the two streams that feed no chain, both read at seed (0,).
 _CALIBRATION, _SCREEN = 1, 2
 
@@ -146,10 +149,10 @@ class DareSolution:
         }
 
 
-def solve_dare(m, tol: float = 1e-12) -> DareSolution:
+def solve_dare(m) -> DareSolution:
     """Fixed point of f1 by direct iteration from X = Q.
 
-    Stops when the step size drops below tol * (1 + ||X||), a test that
+    Stops when the step size drops below _DARE_TOL * (1 + ||X||), a test that
     `linalg.step_exceeds` decides from entry bounds on all but the steps
     near the cut.  Validated models contract geometrically near the fixed
     point, so the plain iteration is reliable and keeps the solver free of
@@ -162,7 +165,7 @@ def solve_dare(m, tol: float = 1e-12) -> DareSolution:
         x_next = step(m, x, arrived)
         if not np.isfinite(x_next).all():
             raise RuntimeError(f"fixed-point iteration went non-finite at iteration {k}")
-        if not step_exceeds(x_next - x, x, tol):
+        if not step_exceeds(x_next - x, x, _DARE_TOL):
             residual = float(norms(step(m, x_next, arrived) - x_next)[0])
             return DareSolution(p_star=SymMatrix(x_next[0]), iterations=k, residual=residual)
         x = x_next
@@ -186,8 +189,11 @@ def random_psd(rng: np.random.Generator, n: int, scale: float = 1.0) -> SymMatri
     """Random PSD matrix scale * G G^T / n with Gaussian G.
 
     The norm concentrates near `scale` but keeps sampling spread; exact
-    normalization would collapse all 1x1 draws to the same value.
+    normalization would collapse all 1x1 draws to the same value.  A scale
+    that is negative or not finite raises ValueError.
     """
+    if not 0.0 <= scale < math.inf:
+        raise ValueError(f"scale must be finite and >= 0, got {scale}")
     return SymMatrix(_random_psd_array(rng, n, np.array([scale]))[0])
 
 

@@ -267,6 +267,18 @@ class TestSimulate:
         assert "non-finite at step" in err and "config error" not in err
         assert not (out / "trajectory.csv").exists()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_scalar_overflow_exits_three(self, tmp_path, capsys):
+        # 1e307 * 2.25^3 is finite, but over half the float maximum, so
+        # symmetrizing it as (X + X^T) / 2 overflows: step 3 is named.
+        model = {**SCALAR_MODEL, "A": [[1.5]], "P0": [[1e307]]}
+        cfg = write_config(tmp_path, model=model, simulate={"gamma": 1e-9, "horizon": 4})
+        out = tmp_path / "sim"
+        assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "non-finite at step 3" in err and "config error" not in err
+        assert not (out / "trajectory.csv").exists()
+
 
 class TestInvariant:
     def test_writes_samples(self, tmp_path, capsys):

@@ -1,5 +1,6 @@
 import ast
 import hashlib
+import inspect
 import math
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from riccati_mdp import (
     EventPredicate,
     SimulationConfig,
     SymMatrix,
+    SystemModel,
     decay_exponent_fit,
     event_probability,
     exceedance_sup,
@@ -20,6 +22,7 @@ from riccati_mdp import (
     riccati_step,
     sample_invariant,
     simulate_rre,
+    solve_dare,
     spectral_norm,
     tail_bound,
 )
@@ -32,6 +35,28 @@ from riccati_mdp.montecarlo import (
     _sample_with_doubled_burn_in,
     _word_threshold,
 )
+
+
+def test_monte_carlo_api_takes_only_these_parameters():
+    # Every chain starts at its model's P0, the tail bound uses the calibrated
+    # kappa and the DARE tolerance is fixed, so none of them is an option.
+    got = {f.__name__: list(inspect.signature(f).parameters)
+           for f in (SimulationConfig, simulate_rre, sample_invariant, decay_exponent_fit,
+                     tail_bound, exceedance_sup, solve_dare)}
+    assert got == {
+        "SimulationConfig": ["gamma_bar", "n_samples", "burn_in", "horizon", "seed"],
+        "simulate_rre": ["m", "cfg"],
+        "sample_invariant": ["m", "cfg"],
+        "decay_exponent_fit": ["m", "pred", "gamma_grid", "n_samples", "burn_in", "seed"],
+        "tail_bound": ["m", "gamma_bar", "threshold"],
+        "exceedance_sup": ["m", "gamma_bar", "thresholds", "horizon", "n_chains", "seed"],
+        "solve_dare": ["m"],
+    }
+
+
+def _start_at(m, p0) -> SystemModel:
+    """m with the starting covariance p0: a chain always starts at its model's P0."""
+    return SystemModel(**{**m.to_dict(), "P0": p0})
 
 
 class TestSimulationConfig:
@@ -55,34 +80,21 @@ class TestSimulationConfig:
 
 class TestSimulate:
     def test_forced_all_arrivals_converges(self, scalar_model, scalar_pstar):
-        cfg = SimulationConfig(gamma_bar=0.5, horizon=40)
-        traj = simulate_rre(scalar_model, cfg, arrivals=[1] * 40)
-        final = traj.path[-1]
-        assert spectral_norm(final - scalar_pstar) <= 1e-9
+        # gamma_bar = 1 sets every arrival bit.
+        cfg = SimulationConfig(gamma_bar=1.0, horizon=40, seed=3)
+        traj = simulate_rre(scalar_model, cfg)
+        assert traj.arrivals == (1,) * 40
+        assert spectral_norm(traj.path[-1] - scalar_pstar) <= 1e-9
 
-    def test_forced_no_arrivals_is_open_loop(self, scalar_model):
-        cfg = SimulationConfig(gamma_bar=0.5, horizon=5)
-        traj = simulate_rre(scalar_model, cfg, arrivals=[0] * 5)
-        x = scalar_model.P0
-        for step in traj.path[1:]:
-            x = lyapunov_step(scalar_model, x)
-            assert step == x
-
-    def test_forced_mixed_word(self, scalar_model):
-        cfg = SimulationConfig(gamma_bar=0.5, horizon=3)
-        traj = simulate_rre(scalar_model, cfg, arrivals=[0, 1, 0])
-        x = lyapunov_step(scalar_model,
-                          riccati_step(scalar_model,
-                                       lyapunov_step(scalar_model, scalar_model.P0)))
-        assert traj.path[-1] == x
-        assert traj.arrivals == (0, 1, 0)
-
-    def test_forced_arrivals_validated(self, scalar_model):
-        cfg = SimulationConfig(gamma_bar=0.5, horizon=3)
-        with pytest.raises(ValueError):
-            simulate_rre(scalar_model, cfg, arrivals=[0, 1])
-        with pytest.raises(ValueError):
-            simulate_rre(scalar_model, cfg, arrivals=[0, 1, 2])
+    def test_seeded_path_follows_its_arrivals(self, scalar_model, planar):
+        # Each step is f1 where the path's own bit is set and f0 where not,
+        # bit for bit; seed 4 gives both bits within 12 steps on each model.
+        for model in (scalar_model, planar):
+            traj = simulate_rre(model, SimulationConfig(gamma_bar=0.5, horizon=12, seed=4))
+            assert len(traj) == 13 and set(traj.arrivals) == {0, 1}
+            assert traj.path[0] == model.P0
+            for x, bit, y in zip(traj.path, traj.arrivals, traj.path[1:]):
+                assert y == (riccati_step if bit else lyapunov_step)(model, x)
 
     def test_seeded_runs_repeat(self, scalar_model):
         cfg = SimulationConfig(gamma_bar=0.6, horizon=30, seed=12)
@@ -97,10 +109,13 @@ class TestSimulate:
         assert freq == pytest.approx(0.8, abs=0.03)
 
     def test_custom_start(self, scalar_model):
-        cfg = SimulationConfig(gamma_bar=0.5, horizon=1, p0=SymMatrix(9.0))
-        traj = simulate_rre(scalar_model, cfg, arrivals=[0])
+        cfg = SimulationConfig(gamma_bar=0.5, horizon=2, seed=4)
+        traj = simulate_rre(_start_at(scalar_model, 9.0), cfg)
         assert traj.path[0].item() == 9.0
-        assert traj.path[1].item() == pytest.approx(oracles.f0_scalar(9.0), rel=1e-12)
+        x = 9.0
+        for bit, p in zip(traj.arrivals, traj.path[1:]):
+            x = (oracles.f1_scalar if bit else oracles.f0_scalar)(x)
+            assert p.item() == pytest.approx(x, rel=1e-12)
 
 
 class TestSampleInvariant:
@@ -123,7 +138,7 @@ class TestSampleInvariant:
         # after 100 burn-in steps the defect is far below the 1e-8 slack.
         model = request.getfixturevalue(
             {"scalar": "scalar_model", "planar": "planar"}[model_name])
-        from riccati_mdp import loewner_leq, solve_dare
+        from riccati_mdp import loewner_leq
         ps = solve_dare(model).p_star
         cfg = SimulationConfig(gamma_bar=0.6, n_samples=500, burn_in=100, seed=5)
         d = sample_invariant(model, cfg)
@@ -278,8 +293,7 @@ class TestDecayFit:
         # Lower arrival rate, more open-loop stretches, more escape mass.
         m1 = 40.0 - scalar_pstar.item()
         pred = EventPredicate.ball_complement(m1)
-        fit = decay_exponent_fit(scalar_model, pred, [0.5, 0.7, 0.9], 3000, 60, 7,
-                                 check_burn_in=False)
+        fit = decay_exponent_fit(scalar_model, pred, [0.5, 0.7, 0.9], 3000, 60, 7)
         assert fit.probs[0] > fit.probs[1] > fit.probs[2]
 
     def test_all_censored_raises(self, scalar_model, scalar_pstar):
@@ -299,18 +313,18 @@ class TestDecayFit:
 
     @pytest.mark.parametrize("n", [301, 300])
     @pytest.mark.parametrize("model_name", ["scalar", "planar"])
-    @pytest.mark.parametrize("explicit_p0", [False, True])
-    def test_drift_shares_gridpoint_zero_draw(self, model_name, n, explicit_p0, request):
+    @pytest.mark.parametrize("tripled_p0", [False, True])
+    def test_drift_shares_gridpoint_zero_draw(self, model_name, n, tripled_p0, request):
         model = request.getfixturevalue(
             {"scalar": "scalar_model", "planar": "planar"}[model_name])
         p_star = request.getfixturevalue(
             {"scalar": "scalar_pstar", "planar": "planar_pstar"}[model_name])
-        p0 = model.P0 * 3.0 if explicit_p0 else None
+        if tripled_p0:
+            model = _start_at(model, model.P0 * 3.0)
         burn = 30
-        cfg = SimulationConfig(gamma_bar=0.55, n_samples=n, burn_in=burn,
-                               seed=(17, 0), p0=p0)
+        cfg = SimulationConfig(gamma_bar=0.55, n_samples=n, burn_in=burn, seed=(17, 0))
         doubled_cfg = SimulationConfig(gamma_bar=0.55, n_samples=n, burn_in=2 * burn,
-                                       seed=(17, 0), p0=p0)
+                                       seed=(17, 0))
         fresh, fresh_doubled = sample_invariant(model, cfg), sample_invariant(model, doubled_cfg)
         shared, doubled = _sample_with_doubled_burn_in(model, cfg)
         assert np.array_equal(shared.samples, fresh.samples)
@@ -320,12 +334,12 @@ class TestDecayFit:
         pred = EventPredicate.ball_complement(
             {"scalar": 30.0, "planar": 15.0}[model_name])
         grid = [0.55, 0.6, 0.65]
-        fit = decay_exponent_fit(model, pred, grid, n, burn, 17, p0=p0)
-        plain = decay_exponent_fit(model, pred, grid, n, burn, 17, p0=p0,
-                                   check_burn_in=False)
-        for a, b in zip(fit.distributions, plain.distributions):
-            assert np.array_equal(a.samples, b.samples)
-        assert fit.probs == plain.probs
+        fit = decay_exponent_fit(model, pred, grid, n, burn, 17)
+        for j, (g, dist) in enumerate(zip(grid, fit.distributions)):
+            plain = sample_invariant(model, SimulationConfig(
+                gamma_bar=g, n_samples=n, burn_in=burn, seed=(17, j)))
+            assert np.array_equal(dist.samples, plain.samples)
+            assert fit.probs[j] == event_probability(plain, pred, p_star)[0]
         p2, _ = event_probability(fresh_doubled, pred, p_star)
         assert fit.burn_in_drift["p_at_doubled_burn_in"] == p2
         assert fit.burn_in_drift["p_at_burn_in"] == fit.probs[0]
@@ -334,8 +348,7 @@ class TestDecayFit:
         import json
         m1 = 40.0 - scalar_pstar.item()
         pred = EventPredicate.ball_complement(m1)
-        fit = decay_exponent_fit(scalar_model, pred, [0.55, 0.65, 0.75], 500, 40, 3,
-                                 check_burn_in=False)
+        fit = decay_exponent_fit(scalar_model, pred, [0.55, 0.65, 0.75], 500, 40, 3)
         parsed = json.loads(json.dumps(fit.to_dict()))
         assert parsed["slope"] == fit.slope
         assert parsed["points_used"] == 3
@@ -403,23 +416,16 @@ class TestTailBound:
         assert tb.applicable and tb.vacuous
         assert tb.bound >= 1.0
 
-    def test_kappa_override(self, scalar_model):
-        a = tail_bound(scalar_model, 0.7, 50.0, kappa=6.0)
-        b = tail_bound(scalar_model, 0.7, 50.0)
-        assert a.k_of_m == b.k_of_m
-
     def test_validation(self, scalar_model):
         with pytest.raises(ValueError):
             tail_bound(scalar_model, 0.0, 50.0)
         with pytest.raises(ValueError):
             tail_bound(scalar_model, 1.0, 50.0)
-        with pytest.raises(ValueError):
-            tail_bound(scalar_model, 0.7, 0.0)
-        # A kappa at or below zero would shrink the bound below the
-        # calibrated one (0.0116 against 0.129 here), which is unsound.
-        for kappa in (0.0, -5.0, math.nan, math.inf):
-            with pytest.raises(ValueError, match="kappa"):
-                tail_bound(scalar_model, 0.7, 50.0, kappa=kappa)
+        # An infinite threshold would report the step where the envelope
+        # overflows (k_of_m 1022 here) instead of an error.
+        for threshold in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="threshold"):
+                tail_bound(scalar_model, 0.7, threshold)
 
     def test_kappa_calibrated_once_per_model(self, monkeypatch):
         calls = []
@@ -434,8 +440,7 @@ class TestTailBound:
         got += [tail_bound(model, 0.7, thr).to_dict() for thr in thresholds[1:]]
         assert len(calls) == one_calibration
         kappa = operators.uniform_bound_kappa.__wrapped__(model)
-        assert got == [tail_bound(model, 0.7, thr, kappa=kappa).to_dict()
-                       for thr in thresholds]
+        assert [d["kappa"] for d in got] == [kappa] * len(thresholds)
 
     def test_to_dict_serializes(self, scalar_model):
         import json
@@ -470,31 +475,33 @@ class TestExceedance:
             exceedance_sup(scalar_model, **args)
 
 
-# A start of the wrong shape for the planar model, and a symmetric 2x2 with
-# eigenvalues -3 and 5.
+# A start of the wrong shape for the planar model, which the model itself
+# rejects, and a symmetric 2x2 with eigenvalues -3 and 5, which each entry
+# point rejects before it steps.
 _BAD_P0 = {"1x1": SymMatrix(2.0), "non-PSD": SymMatrix([[1.0, 4.0], [4.0, 1.0]])}
 
 
 class TestStartingCovarianceChecked:
     @pytest.mark.parametrize("bad", sorted(_BAD_P0))
     def test_sample_invariant(self, planar, bad):
-        cfg = SimulationConfig(gamma_bar=0.7, n_samples=10, burn_in=5, p0=_BAD_P0[bad])
+        cfg = SimulationConfig(gamma_bar=0.7, n_samples=10, burn_in=5)
         with pytest.raises(ValueError, match="P0"):
-            sample_invariant(planar, cfg)
+            sample_invariant(_start_at(planar, _BAD_P0[bad]), cfg)
 
     @pytest.mark.parametrize("bad", sorted(_BAD_P0))
     def test_simulate_rre(self, planar, bad):
-        cfg = SimulationConfig(gamma_bar=0.7, horizon=5, p0=_BAD_P0[bad])
+        cfg = SimulationConfig(gamma_bar=0.7, horizon=5)
         with pytest.raises(ValueError, match="P0"):
-            simulate_rre(planar, cfg)
+            simulate_rre(_start_at(planar, _BAD_P0[bad]), cfg)
 
     @pytest.mark.parametrize("bad", sorted(_BAD_P0))
     def test_exceedance_sup(self, planar, bad):
         with pytest.raises(ValueError, match="P0"):
-            exceedance_sup(planar, 0.7, [20.0], horizon=5, n_chains=10, seed=1,
-                           p0=_BAD_P0[bad])
+            exceedance_sup(_start_at(planar, _BAD_P0[bad]), 0.7, [20.0], horizon=5,
+                           n_chains=10, seed=1)
 
     @pytest.mark.parametrize("bad", sorted(_BAD_P0))
     def test_tail_bound(self, planar, bad):
+        # The start is checked before kappa is calibrated.
         with pytest.raises(ValueError, match="P0"):
-            tail_bound(planar, 0.7, 20.0, p0=_BAD_P0[bad], kappa=10.0)
+            tail_bound(_start_at(planar, _BAD_P0[bad]), 0.7, 20.0)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -321,3 +322,22 @@ class TestRandomPsd:
         for _ in range(50):
             x = random_psd(rng, 3, scale=2.0)
             assert np.linalg.eigvalsh(x.a).min() >= 0.0
+
+    @pytest.mark.parametrize("scale", [-3.0, -1e-300, math.nan, math.inf, -math.inf])
+    def test_rejects_negative_or_non_finite_scale(self, scale):
+        # Scale -3.0 would give a negative-definite draw (eigenvalues -0.648
+        # and -0.033 from seed 0).
+        with pytest.raises(ValueError, match="scale"):
+            random_psd(np.random.default_rng(0), 2, scale)
+
+    def test_zero_scale_is_the_zero_matrix(self):
+        assert random_psd(np.random.default_rng(0), 2, 0.0) == SymMatrix.zeros(2)
+
+    def test_draws_pinned(self):
+        # The scale check moves no bit of a draw at a valid scale.
+        rng = np.random.default_rng(5)
+        draws = [random_psd(rng, n, float(10.0 ** rng.uniform(-2, 3))).a
+                 for n in (1, 2, 3, 4) for _ in range(50)]
+        digest = hashlib.sha256(np.concatenate([d.ravel() for d in draws]).tobytes())
+        assert digest.hexdigest() == (
+            "709d6b134f761e3d510396291825e477496045ee6d701439465797e75b5bc1c1")
