@@ -86,6 +86,26 @@ class TestSimulate:
         assert traj.arrivals == (1,) * 40
         assert spectral_norm(traj.path[-1] - scalar_pstar) <= 1e-9
 
+    def test_forced_no_arrivals_is_open_loop(self, scalar_model):
+        # gamma_bar = 1e-12 sets a bit only for a word below ~2^24 of 2^64.
+        cfg = SimulationConfig(gamma_bar=1e-12, horizon=5, seed=0)
+        traj = simulate_rre(scalar_model, cfg)
+        assert traj.arrivals == (0,) * 5
+        x = scalar_model.P0
+        for step in traj.path[1:]:
+            x = lyapunov_step(scalar_model, x)
+            assert step == x
+
+    def test_forced_mixed_word(self, scalar_model):
+        # Seed 18 draws the word (0, 1, 0) at gamma_bar = 0.5.
+        cfg = SimulationConfig(gamma_bar=0.5, horizon=3, seed=18)
+        traj = simulate_rre(scalar_model, cfg)
+        x = lyapunov_step(scalar_model,
+                          riccati_step(scalar_model,
+                                       lyapunov_step(scalar_model, scalar_model.P0)))
+        assert traj.path[-1] == x
+        assert traj.arrivals == (0, 1, 0)
+
     def test_seeded_path_follows_its_arrivals(self, scalar_model, planar):
         # Each step is f1 where the path's own bit is set and f0 where not,
         # bit for bit; seed 4 gives both bits within 12 steps on each model.
