@@ -409,8 +409,9 @@ class TailBound:
 
     applicable is False when ||A|| <= 1: the open-loop map is non-expanding,
     thresholds are never forced, and the geometric argument says nothing.
-    vacuous flags bounds >= 1.  k_of_m is the number of consecutive open-loop
-    steps needed to push the worst bounded state past M.
+    vacuous flags bounds >= 1.  kappa is the least value with f1^N(X) <=
+    kappa * I for every X, and k_of_m is the number of consecutive open-loop
+    steps needed to push a state below max(kappa, ||P0||) * I past M.
     """
 
     gamma_bar: float
@@ -451,8 +452,8 @@ def tail_bound(m, gamma_bar: float, threshold: float) -> TailBound:
 
         sup_t P(||P_t|| > M) <= r^k(M) / ((1 - gamma_bar^N) * (1 - r)).
 
-    kappa is the model's calibrated uniform bound, which
-    `uniform_bound_kappa` caches per model, and P0 is the model's.
+    kappa is the model's exact `uniform_bound_kappa` and P0 is the model's;
+    a model that is not observable in N steps has no kappa: ValueError.
     """
     if not 0.0 < gamma_bar < 1.0:
         raise ValueError(f"gamma_bar must be in (0, 1), got {gamma_bar}")

@@ -29,7 +29,6 @@ from riccati_mdp import (
 
 import oracles
 from riccati_mdp import operators
-from riccati_mdp.models import planar_model
 from riccati_mdp.montecarlo import (
     _arrival_bits,
     _sample_with_doubled_burn_in,
@@ -38,8 +37,9 @@ from riccati_mdp.montecarlo import (
 
 
 def test_monte_carlo_api_takes_only_these_parameters():
-    # Every chain starts at its model's P0, the tail bound uses the calibrated
-    # kappa and the DARE tolerance is fixed, so none of them is an option.
+    # Every chain starts at its model's P0, the tail bound's kappa is the
+    # model's exact N-step ceiling and the DARE tolerance is fixed, so none
+    # of them is an option.
     got = {f.__name__: list(inspect.signature(f).parameters)
            for f in (SimulationConfig, simulate_rre, sample_invariant, decay_exponent_fit,
                      tail_bound, exceedance_sup, solve_dare)}
@@ -240,8 +240,7 @@ class TestArrivalStreams:
             chains |= first_words((s,))
             for j in range(40):
                 chains |= first_words((s, j))
-        for purpose in (operators._CALIBRATION, operators._SCREEN):
-            assert not first_words((0,), purpose) & chains
+        assert not first_words((0,), operators._SCREEN) & chains
 
     def test_one_function_keys_random_streams(self):
         # Every random draw of the package reads `operators._stream`.
@@ -409,15 +408,15 @@ class TestProhorov:
 
 class TestTailBound:
     def test_scalar_known_value(self, scalar_model):
-        # kappa = 6, P0 = 1: envelope 7 * 2^k - 1 reaches 50 at k = 3, and
-        # with one-dimensional windows the sum collapses to r^3/((1-r) r)
-        # with r = 0.3.
+        # kappa = a^2 r / c^2 + q = 3, P0 = 1: envelope 4 * 2^k - 1 reaches 50
+        # at k = 4, and with one-dimensional windows the sum collapses to
+        # r^4/((1-r) r) with r = 0.3.
         tb = tail_bound(scalar_model, gamma_bar=0.7, threshold=50.0)
         assert tb.applicable and not tb.vacuous
-        assert tb.k_of_m == 3
-        assert tb.bound == pytest.approx(0.3 ** 3 / (0.3 * 0.7), rel=1e-9)
+        assert tb.k_of_m == 4
+        assert tb.bound == pytest.approx(0.3 ** 4 / (0.3 * 0.7), rel=1e-9)
         assert tb.alpha == pytest.approx(math.sqrt(2.0), rel=1e-12)
-        assert tb.kappa == pytest.approx(6.0, rel=1e-3)
+        assert tb.kappa == pytest.approx(3.0, rel=1e-12)
 
     def test_k_grows_with_threshold(self, scalar_model):
         ks = [tail_bound(scalar_model, 0.7, thr).k_of_m for thr in (50.0, 100.0, 200.0)]
@@ -447,25 +446,18 @@ class TestTailBound:
             with pytest.raises(ValueError, match="threshold"):
                 tail_bound(scalar_model, 0.7, threshold)
 
-    def test_kappa_calibrated_once_per_model(self, monkeypatch):
-        calls = []
-        n_step = operators._steps
-        monkeypatch.setattr(operators, "_steps",
-                            lambda *args: calls.append(args) or n_step(*args))
-        model = planar_model()  # a fresh model, so no earlier call is cached
-        thresholds = (20.0, 100.0, 1000.0)
-        got = [tail_bound(model, 0.7, thresholds[0]).to_dict()]
-        one_calibration = len(calls)
-        assert one_calibration and all(args[0] is model for args in calls)
-        got += [tail_bound(model, 0.7, thr).to_dict() for thr in thresholds[1:]]
-        assert len(calls) == one_calibration
-        kappa = operators.uniform_bound_kappa.__wrapped__(model)
-        assert [d["kappa"] for d in got] == [kappa] * len(thresholds)
+    def test_unobservable_model_raises(self):
+        # ||A|| = 2 makes the bound applicable, but the second state is never
+        # seen, so no N-step ceiling exists.
+        m = SystemModel(A=2.0 * np.eye(2), C=[[1.0, 0.0]], Q=np.eye(2), R=[[1.0]],
+                        P0=np.eye(2))
+        with pytest.raises(ValueError, match="observable"):
+            tail_bound(m, 0.7, 50.0)
 
     def test_to_dict_serializes(self, scalar_model):
         import json
         tb = tail_bound(scalar_model, 0.7, 50.0)
-        assert json.loads(json.dumps(tb.to_dict()))["k_of_m"] == 3
+        assert json.loads(json.dumps(tb.to_dict()))["k_of_m"] == 4
 
 
 class TestExceedance:
@@ -522,6 +514,6 @@ class TestStartingCovarianceChecked:
 
     @pytest.mark.parametrize("bad", sorted(_BAD_P0))
     def test_tail_bound(self, planar, bad):
-        # The start is checked before kappa is calibrated.
+        # The start is checked before the N-step ceiling is computed.
         with pytest.raises(ValueError, match="P0"):
             tail_bound(_start_at(planar, _BAD_P0[bad]), 0.7, 20.0)
