@@ -9,30 +9,15 @@ gridpoint index).  A uniform is the raw Philox word w as (w >> 11) * 2^-53,
 so u < gamma_bar exactly when w < ceil(gamma_bar * 2^53) * 2^11, and the bits
 are thresholded on the raw words.
 
-The block is read row-major, so the (2n, B) block of a stream is its (n, 2B)
-block reshaped: row i of the latter is rows 2i and 2i + 1 of the former.  The
-exponent fit's burn-in drift check, n chains run for 2B steps at gridpoint
-0's seed, uses this to share gridpoint 0's draw.  One (2n, B) block is drawn;
-its first n rows are gridpoint 0's chains, whose samples are the first n of
-2n by the prefix property.  Drift chain i starts from the result of row 2i,
-which for 2i < n is a gridpoint-0 sample already in hand and otherwise is
-stepped afresh, and then runs B more steps on row 2i + 1.  A chain's result
-does not depend on its position in the stack, so the drift equals a fresh
-run at 2B bit for bit.
+The exponent fit's burn-in drift check continues gridpoint 0's own chains:
+it draws one (2n, B) block, steps the n chains on rows 0..n-1 (the prefix
+property makes them `sample_invariant`'s), and steps them B more times on rows
+n..2n-1.  Since the invariant law does not depend on the start, the hit
+fraction should not move between B and 2B steps.
 
 Chains advance in lockstep as a stacked array of covariances through the
-batched kernel `operators.step`.  Its elementwise work runs on an
-entry-major (N, N, k) copy of the stack, so every pass runs along the chain
-axis; the products with C stay on the chain-major input, because BLAS
-accumulates a transposed matrix-vector product in another order and the
-bits must not move.  That keeps the per-step cost at a handful of
-vectorized operations even for tens of thousands of chains, and a step
-returns a (k, N, N) view of the entry-major result.  Threshold
-events and the exceedance thresholds are decided by the screened test
-`linalg.norms_exceed`: the bounds max_ij |X_ij| <= ||X|| <= max_i sum_j |X_ij|
-settle every chain that clears a threshold by the relative margin
-`linalg.SCREEN_MARGIN`, and only chains inside that band, or with a
-non-finite entry, fall back to an eigendecomposition.  The verdicts equal
+batched kernel `operators.step`; threshold events and the exceedance
+thresholds are decided by `linalg.norms_exceed`, whose verdicts equal
 comparing `linalg.norms` directly.  A chain that overflows is counted, never
 silently scored: the analytics below raise RuntimeError when any chain is
 non-finite.
@@ -76,6 +61,10 @@ class SimulationConfig:
     def __post_init__(self):
         if not 0.0 < self.gamma_bar <= 1.0:
             raise ValueError(f"gamma_bar must be in (0, 1], got {self.gamma_bar}")
+        for name in ("n_samples", "burn_in", "horizon"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_samples < 1:
             raise ValueError(f"n_samples must be >= 1, got {self.n_samples}")
         if self.burn_in < 0:
@@ -203,10 +192,10 @@ class EmpiricalDistribution:
             )
 
 
-def _run_chains(m, p: np.ndarray, bits: np.ndarray, rows=slice(None)) -> np.ndarray:
-    """Step the stack p once per column t of bits, reading bits[rows, t]."""
+def _run_chains(m, p: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """Step the stack p once per column t of bits, reading bits[:, t]."""
     for t in range(bits.shape[1]):
-        p = step(m, p, bits[rows, t])
+        p = step(m, p, bits[:, t])
     return p
 
 
@@ -230,21 +219,16 @@ def sample_invariant(m, cfg: SimulationConfig) -> EmpiricalDistribution:
 
 def _sample_with_doubled_burn_in(
         m, cfg: SimulationConfig) -> tuple[EmpiricalDistribution, EmpiricalDistribution]:
-    """cfg's sample and the same seed's sample at 2 * burn_in, from one draw.
+    """cfg's sample, and the same chains run burn_in more steps, from one draw.
 
-    One (2n, B) block is drawn: its first n rows give cfg's sample, and row
-    pair (2i, 2i + 1) is row i of the (n, 2B) block, so drift chain i is
-    sample 2i when 2i < n, else row 2i stepped from p0, stepped on through
-    row 2i + 1.  Each column is gathered from the block, never copied whole.
+    One (2n, B) block is drawn: rows 0..n-1 give cfg's sample, and rows
+    n..2n-1 continue each of its chains to 2B steps.
     """
     p0 = _entry(m, m.P0, "P0")
     n = cfg.n_samples
     bits = _arrival_bits(cfg.seed_tuple(), cfg.gamma_bar, 2 * n, cfg.burn_in)
-    start = np.repeat(p0, n, axis=0)
-    samples = _run_chains(m, start, bits[:n])
-    shared = (n + 1) // 2  # drift chains whose first half is a sample
-    rest = _run_chains(m, start[:n - shared], bits, slice(2 * shared, None, 2))
-    doubled = _run_chains(m, np.concatenate([samples[::2], rest]), bits, slice(1, None, 2))
+    samples = _run_chains(m, np.repeat(p0, n, axis=0), bits[:n])
+    doubled = _run_chains(m, samples, bits[n:])
     return (_distribution(cfg, samples),
             _distribution(replace(cfg, burn_in=2 * cfg.burn_in), doubled))
 
@@ -365,8 +349,8 @@ def decay_exponent_fit(m, pred: EventPredicate, gamma_grid: Sequence[float],
 def _burn_in_drift(pred, p1, doubled: EmpiricalDistribution, p_star) -> dict:
     """Hit fraction p1 at burn_in vs the same chains run to 2 * burn_in.
 
-    p1 is the fit's own hit fraction at gridpoint 0; doubled is the sample
-    at twice its burn-in with the same seed.
+    p1 is the fit's own hit fraction at gridpoint 0; doubled is its chains
+    continued to twice its burn-in.
     """
     p2, _ = event_probability(doubled, pred, p_star)
     n = doubled.n
@@ -389,7 +373,12 @@ def prohorov_distance_scalar(d: EmpiricalDistribution, target: float) -> float:
 
     computed here by scanning the sorted absolute deviations, so the result
     is exact for the empirical measure rather than a grid approximation.
+    Raises RuntimeError when any chain went non-finite, and ValueError for a
+    non-finite target.
     """
+    d.require_finite()
+    if not math.isfinite(target):
+        raise ValueError(f"target must be finite, got {target}")
     devs = np.sort(np.abs(d.scalar_values() - float(target)))
     n = devs.size
     best = math.inf
@@ -454,6 +443,9 @@ def tail_bound(m, gamma_bar: float, threshold: float) -> TailBound:
 
     kappa is the model's exact `uniform_bound_kappa` and P0 is the model's;
     a model that is not observable in N steps has no kappa: ValueError.
+    k(M) comes in closed form from the envelope, corrected against the
+    envelope as evaluated, so it is the least k that reaches M.  Where r
+    rounds to 1 the bound is inf, and vacuous.
     """
     if not 0.0 < gamma_bar < 1.0:
         raise ValueError(f"gamma_bar must be in (0, 1), got {gamma_bar}")
@@ -470,15 +462,21 @@ def tail_bound(m, gamma_bar: float, threshold: float) -> TailBound:
     q_norm = spectral_norm(m.Q)
     a2 = alpha * alpha
 
-    k = 0
-    while kappa1 * a2**k + q_norm * (a2**k - 1.0) / (a2 - 1.0) < threshold:
+    def envelope(k: int) -> float:
+        return kappa1 * a2**k + q_norm * (a2**k - 1.0) / (a2 - 1.0)
+
+    # envelope(k) = (kappa1 + c) * a2^k - c with c = ||Q|| / (a^2 - 1).
+    c = q_norm / (a2 - 1.0)
+    k = max(0, math.ceil(math.log((threshold + c) / (kappa1 + c)) / math.log(a2)))
+    while k > 0 and envelope(k - 1) >= threshold:
+        k -= 1
+    while envelope(k) < threshold:
         k += 1
-        if k > 10_000:
-            raise RuntimeError("threshold unreachable by the geometric envelope")
 
     n = m.dim_state
     decay = (1.0 - gamma_bar**n) ** (1.0 / n)
-    bound = decay**k / ((1.0 - gamma_bar**n) * (1.0 - decay))
+    bound = (decay**k / ((1.0 - gamma_bar**n) * (1.0 - decay))
+             if decay < 1.0 else math.inf)
     return TailBound(gamma_bar=gamma_bar, threshold=threshold, applicable=True,
                      k_of_m=k, bound=float(bound), vacuous=bound >= 1.0,
                      alpha=alpha, kappa=float(kappa), kappa1=float(kappa1))

@@ -373,3 +373,14 @@ def prohorov_dirac_slow(values, target):
         if np.count_nonzero(devs > eps) / n <= eps:
             return eps
     return math.inf
+
+
+def envelope_steps_loop(kappa1, q_norm, a2, threshold, cap=10_000):
+    """Least k with kappa1 a2^k + ||Q|| (a2^k - 1) / (a2 - 1) >= threshold,
+    counted one step at a time; None past cap steps."""
+    k = 0
+    while kappa1 * a2**k + q_norm * (a2**k - 1.0) / (a2 - 1.0) < threshold:
+        k += 1
+        if k > cap:
+            return None
+    return k

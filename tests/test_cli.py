@@ -474,6 +474,16 @@ class TestReproduceScalar:
             "cdf.csv": "07a5ee1a661d1c8ff5f4463c665e67cf29d0ce3979a78ee7478ddaef2b33d660",
         }
 
+    def test_study_drift_pinned(self, tmp_path):
+        # The drift check continues gridpoint 0's chains on its own draw;
+        # at the default seed 2024 399 of 10 000 hit after 2B steps.
+        out = tmp_path / "study"
+        assert cli.main(["reproduce-scalar", "--out", str(out)]) == 0
+        header, row = (out / "fit.csv").read_text().splitlines()[:2]
+        fit = dict(zip(header.split(","), row.split(",")))
+        assert float(fit["drift_p_hat_doubled"]) == 0.0399
+        assert fit["drift_within_2se"] == "true"
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_chains_exit_three(self, tmp_path, monkeypatch, capsys):
         # The largest start SymMatrix accepts (half the float maximum)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from riccati_mdp import (
@@ -28,7 +28,7 @@ from riccati_mdp import (
 )
 
 import oracles
-from riccati_mdp import operators
+from riccati_mdp import montecarlo, operators
 from riccati_mdp.montecarlo import (
     _arrival_bits,
     _sample_with_doubled_burn_in,
@@ -72,6 +72,12 @@ class TestSimulationConfig:
             SimulationConfig(gamma_bar=0.5, burn_in=-1)
         with pytest.raises(ValueError):
             SimulationConfig(gamma_bar=0.5, horizon=-2)
+
+    @pytest.mark.parametrize("name", ["n_samples", "burn_in", "horizon"])
+    def test_rejects_fractional_counts(self, name):
+        # numpy would fail later with a TypeError deep inside the sampler.
+        with pytest.raises(ValueError, match=name):
+            SimulationConfig(gamma_bar=0.5, **{name: 2.5})
 
     def test_seed_tuple_forms(self):
         assert SimulationConfig(gamma_bar=0.5, seed=7).seed_tuple() == (7,)
@@ -342,12 +348,16 @@ class TestDecayFit:
             model = _start_at(model, model.P0 * 3.0)
         burn = 30
         cfg = SimulationConfig(gamma_bar=0.55, n_samples=n, burn_in=burn, seed=(17, 0))
-        doubled_cfg = SimulationConfig(gamma_bar=0.55, n_samples=n, burn_in=2 * burn,
-                                       seed=(17, 0))
-        fresh, fresh_doubled = sample_invariant(model, cfg), sample_invariant(model, doubled_cfg)
+        fresh = sample_invariant(model, cfg)
         shared, doubled = _sample_with_doubled_burn_in(model, cfg)
         assert np.array_equal(shared.samples, fresh.samples)
-        assert np.array_equal(doubled.samples, fresh_doubled.samples)
+        # The doubled sample is those chains stepped on rows n..2n-1 of the
+        # seed's (2n, B) block.
+        tall = _arrival_bits((17, 0), 0.55, 2 * n, burn)
+        continued = fresh.samples
+        for t in range(burn):
+            continued = operators.step(model, continued, tall[n:, t])
+        assert np.array_equal(doubled.samples, continued)
         assert (doubled.burn_in, doubled.seed) == (2 * burn, (17, 0))
 
         pred = EventPredicate.ball_complement(
@@ -359,9 +369,32 @@ class TestDecayFit:
                 gamma_bar=g, n_samples=n, burn_in=burn, seed=(17, j)))
             assert np.array_equal(dist.samples, plain.samples)
             assert fit.probs[j] == event_probability(plain, pred, p_star)[0]
-        p2, _ = event_probability(fresh_doubled, pred, p_star)
+        p2, _ = event_probability(doubled, pred, p_star)
         assert fit.burn_in_drift["p_at_doubled_burn_in"] == p2
         assert fit.burn_in_drift["p_at_burn_in"] == fit.probs[0]
+
+    def test_gridpoint_zero_steps_its_chains_twice(self, scalar_model, monkeypatch):
+        # Gridpoint 0 draws one (2n, B) block and makes 2 n B chain-steps;
+        # every other gridpoint draws (n, B) and makes n B.
+        draws, chain_steps = [], []
+        real_bits, real_step = montecarlo._arrival_bits, montecarlo.step
+
+        def counting_bits(seed_tuple, gamma_bar, n, steps):
+            draws.append((seed_tuple, n, steps))
+            chain_steps.append(0)
+            return real_bits(seed_tuple, gamma_bar, n, steps)
+
+        def counting_step(m, p, bits):
+            chain_steps[-1] += p.shape[0]
+            return real_step(m, p, bits)
+
+        monkeypatch.setattr(montecarlo, "_arrival_bits", counting_bits)
+        monkeypatch.setattr(montecarlo, "step", counting_step)
+        n, burn = 40, 7
+        decay_exponent_fit(scalar_model, EventPredicate.ball_complement(1.0),
+                           [0.5, 0.6, 0.7], n, burn, 3)
+        assert draws == [((3, 0), 2 * n, burn), ((3, 1), n, burn), ((3, 2), n, burn)]
+        assert chain_steps == [2 * n * burn, n * burn, n * burn]
 
     def test_to_dict_round_trips_to_json(self, scalar_model, scalar_pstar):
         import json
@@ -404,6 +437,26 @@ class TestProhorov:
         samples.flags.writeable = False
         d = EmpiricalDistribution(samples=samples, gamma_bar=0.5, burn_in=0, seed=(0,))
         assert prohorov_distance_scalar(d, 2.0) == pytest.approx(1.0 / 3.0)
+
+    def test_non_finite_chains_raise(self):
+        # Scored as deviations, the inf and NaN chains would give 0.75.
+        from riccati_mdp.montecarlo import EmpiricalDistribution
+        samples = np.array([1.0, 2.0, math.inf, math.nan]).reshape(-1, 1, 1)
+        samples.flags.writeable = False
+        d = EmpiricalDistribution(samples=samples, gamma_bar=0.5, burn_in=0, seed=(0,))
+        assert d.non_finite == 2
+        with pytest.raises(RuntimeError, match="2 of 4 chains went non-finite"):
+            prohorov_distance_scalar(d, 2.0)
+
+    @pytest.mark.parametrize("target", [math.nan, math.inf])
+    def test_non_finite_target_raises(self, target):
+        # A NaN target would give inf, above the distance's maximum of 1.
+        from riccati_mdp.montecarlo import EmpiricalDistribution
+        samples = np.array([2.0, 2.0, 3.0]).reshape(-1, 1, 1)
+        samples.flags.writeable = False
+        d = EmpiricalDistribution(samples=samples, gamma_bar=0.5, burn_in=0, seed=(0,))
+        with pytest.raises(ValueError, match="target"):
+            prohorov_distance_scalar(d, target)
 
 
 class TestTailBound:
@@ -458,6 +511,47 @@ class TestTailBound:
         import json
         tb = tail_bound(scalar_model, 0.7, 50.0)
         assert json.loads(json.dumps(tb.to_dict()))["k_of_m"] == 4
+
+    @pytest.mark.parametrize("model_name, gamma", [("scalar", 1e-20), ("planar", 1e-9)])
+    def test_decay_rounding_to_one_is_vacuous(self, model_name, gamma, request):
+        # r = (1 - gamma^N)^(1/N) rounds to 1, so 1 / (1 - r) would divide by zero.
+        model = request.getfixturevalue(
+            {"scalar": "scalar_model", "planar": "planar"}[model_name])
+        tb = tail_bound(model, gamma, 50.0)
+        assert tb.applicable and tb.vacuous
+        assert tb.bound == math.inf
+
+    def test_envelope_near_one_is_reached(self):
+        # ||A|| = 1 + 1e-7 needs about 2.6e7 open-loop steps to reach 1e9,
+        # far past what a step-by-step count would try.
+        m = SystemModel(A=1.0000001, C=1.0, Q=1.0, R=1.0, P0=1.0)
+        tb = tail_bound(m, 0.7, 1e9)
+        a2 = tb.alpha ** 2
+
+        def envelope(k):
+            return tb.kappa1 * a2**k + (a2**k - 1.0) / (a2 - 1.0)
+
+        assert 2.6e7 < tb.k_of_m < 2.7e7
+        assert envelope(tb.k_of_m - 1) < 1e9 <= envelope(tb.k_of_m)
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 2), excess=st.floats(-5.0, 0.5),
+           log_threshold=st.floats(-1.0, 6.0), seed=st.integers(0, 2**32 - 1))
+    def test_steps_match_the_envelope_loop(self, n, excess, log_threshold, seed):
+        # ||A|| = 1 + 10^excess; the closed form must give the loop's count
+        # wherever the loop decides within its cap.
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((n, n))
+        m = SystemModel(A=a / np.linalg.norm(a, 2) * (1.0 + 10.0**excess),
+                        C=rng.standard_normal((1, n)), Q=np.eye(n) * rng.uniform(0.1, 3.0),
+                        R=[[1.0]], P0=np.eye(n) * rng.uniform(0.1, 100.0))
+        assume(np.linalg.norm(m.A, 2) > 1.0)
+        threshold = 10.0**log_threshold
+        tb = tail_bound(m, 0.7, threshold)
+        loop = oracles.envelope_steps_loop(tb.kappa1, spectral_norm(m.Q), tb.alpha**2,
+                                           threshold)
+        assume(loop is not None)
+        assert tb.k_of_m == loop
 
 
 class TestExceedance:
