@@ -265,15 +265,22 @@ def _fit_rows(fit) -> tuple[list, list]:
         fit.slope, fit.intercept, fit.stderr, fit.points_used,
         fit.n_samples, fit.burn_in,
         drift["gamma_bar"], drift["p_at_burn_in"],
-        drift["p_at_doubled_burn_in"], drift["within_2se"],
+        drift["p_at_half_burn_in"], drift["within_2se"],
     ]
     return prob_rows, fit_row
+
+
+def _print_drift(fit) -> None:
+    d = fit.burn_in_drift
+    print(f"burn-in drift at gamma_bar {d['gamma_bar']:g}: p_hat {d['p_at_half_burn_in']:.6g} "
+          f"after {fit.burn_in // 2} steps, {d['p_at_burn_in']:.6g} after {fit.burn_in}; "
+          f"{'' if d['within_2se'] else 'NOT '}within 2 standard errors")
 
 
 _PROBS_HEADER = ["gamma_bar", "p_hat", "hits", "n_samples", "censored"]
 _FIT_HEADER = [
     "slope", "intercept", "stderr", "points_used", "n_samples", "burn_in",
-    "drift_gamma_bar", "drift_p_hat", "drift_p_hat_doubled", "drift_within_2se",
+    "drift_gamma_bar", "drift_p_hat", "drift_p_hat_half", "drift_within_2se",
 ]
 
 
@@ -291,6 +298,7 @@ def cmd_exponent(args) -> int:
     _write_csv(out / "fit.csv", _FIT_HEADER, [fit_row])
     print(f"slope {fit.slope:.6f} (stderr {fit.stderr:.6f}) "
           f"from {fit.points_used} gridpoints")
+    _print_drift(fit)
     return EXIT_OK
 
 
@@ -348,6 +356,7 @@ def cmd_reproduce_scalar(args) -> int:
     verdict = "PASS" if passed else "FAIL"
     print(f"{verdict}: fitted slope {fit.slope:.4f} in [{lo}, {hi}] "
           f"with exact exponent {summary['exact_exponent']}")
+    _print_drift(fit)
     return EXIT_OK if passed else EXIT_NUMERIC
 
 

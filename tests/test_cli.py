@@ -408,7 +408,23 @@ class TestExponent:
         assert len(probs) == 4
         fit = (out / "fit.csv").read_text().splitlines()
         assert fit[0].startswith("slope,intercept,stderr")
-        assert "slope" in capsys.readouterr().out
+        slope_line, drift_line = capsys.readouterr().out.splitlines()
+        assert slope_line.startswith("slope")
+        assert drift_line.startswith("burn-in drift at gamma_bar 0.55: p_hat ")
+        assert " after 25 steps, " in drift_line and " after 50; " in drift_line
+
+    def test_prints_a_failed_drift_and_exits_zero(self, tmp_path, capsys):
+        # Every chain hits after 4 steps and none after 2 at gamma_bar 0.01.
+        cfg = write_config(
+            tmp_path,
+            exponent={"predicate": "ballc:20", "gamma_grid": [0.01, 0.02, 0.03],
+                      "n_samples": 10, "burn_in": 4, "seed": 0})
+        out = tmp_path / "exp"
+        assert cli.main(["exponent", "--config", cfg, "--out", str(out)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "burn-in drift at gamma_bar 0.01: p_hat 0 after 2 steps, 1 after 4; "
+            "NOT within 2 standard errors")
+        assert (out / "fit.csv").read_text().splitlines()[1].endswith(",false")
 
     def test_bad_grid_exits_two(self, tmp_path):
         cfg = write_config(
@@ -448,8 +464,9 @@ class TestReproduceScalar:
         monkeypatch.setattr(montecarlo, "sample_invariant", counting)
         out = tmp_path / "study"
         assert cli.main(["reproduce-scalar", "--out", str(out)]) == 0
-        # Gridpoint 0 and its doubled burn-in share one draw outside
-        # sample_invariant; every other gridpoint is drawn once.
+        # Gridpoint 0 runs outside sample_invariant, so that its drift check
+        # can read its chains at half the burn-in; every other gridpoint is
+        # drawn once through it.
         assert len(calls) == len(cli.STUDY_GRID) - 1
         monkeypatch.undo()
 
@@ -474,15 +491,18 @@ class TestReproduceScalar:
             "cdf.csv": "07a5ee1a661d1c8ff5f4463c665e67cf29d0ce3979a78ee7478ddaef2b33d660",
         }
 
-    def test_study_drift_pinned(self, tmp_path):
-        # The drift check continues gridpoint 0's chains on its own draw;
-        # at the default seed 2024 399 of 10 000 hit after 2B steps.
+    def test_study_drift_pinned(self, tmp_path, capsys):
+        # The drift check reads gridpoint 0's chains at B // 2; at the
+        # default seed 2024 409 of 10 000 hit after 50 steps, 412 after 100.
         out = tmp_path / "study"
         assert cli.main(["reproduce-scalar", "--out", str(out)]) == 0
         header, row = (out / "fit.csv").read_text().splitlines()[:2]
         fit = dict(zip(header.split(","), row.split(",")))
-        assert float(fit["drift_p_hat_doubled"]) == 0.0399
+        assert float(fit["drift_p_hat_half"]) == 0.0409
         assert fit["drift_within_2se"] == "true"
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "burn-in drift at gamma_bar 0.55: p_hat 0.0409 after 50 steps, "
+            "0.0412 after 100; within 2 standard errors")
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_chains_exit_three(self, tmp_path, monkeypatch, capsys):

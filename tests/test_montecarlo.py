@@ -30,8 +30,10 @@ from riccati_mdp import (
 import oracles
 from riccati_mdp import montecarlo, operators
 from riccati_mdp.montecarlo import (
+    EmpiricalDistribution,
     _arrival_bits,
-    _sample_with_doubled_burn_in,
+    _burn_in_drift,
+    _run_chains,
     _word_threshold,
 )
 
@@ -210,12 +212,6 @@ class TestArrivalStreams:
         j = t >> 11
         assert (j - 1) * 2.0**-53 < gamma <= j * 2.0**-53
 
-    @pytest.mark.parametrize("n", [6, 7])
-    def test_doubled_rows_are_the_reshaped_block(self, n):
-        # Row i of the (n, 2B) block is rows 2i and 2i + 1 of the (2n, B) one.
-        tall = _arrival_bits((8, 0), 0.6, 2 * n, 9)
-        assert np.array_equal(tall.reshape(n, 18), _arrival_bits((8, 0), 0.6, n, 18))
-
     @pytest.mark.parametrize("model_name", ["scalar", "planar"])
     def test_chain_i_reads_row_i_whatever_the_count(self, model_name, request):
         model = request.getfixturevalue(
@@ -346,19 +342,18 @@ class TestDecayFit:
             {"scalar": "scalar_pstar", "planar": "planar_pstar"}[model_name])
         if tripled_p0:
             model = _start_at(model, model.P0 * 3.0)
-        burn = 30
+        burn = 31
         cfg = SimulationConfig(gamma_bar=0.55, n_samples=n, burn_in=burn, seed=(17, 0))
-        fresh = sample_invariant(model, cfg)
-        shared, doubled = _sample_with_doubled_burn_in(model, cfg)
-        assert np.array_equal(shared.samples, fresh.samples)
-        # The doubled sample is those chains stepped on rows n..2n-1 of the
-        # seed's (2n, B) block.
-        tall = _arrival_bits((17, 0), 0.55, 2 * n, burn)
-        continued = fresh.samples
-        for t in range(burn):
-            continued = operators.step(model, continued, tall[n:, t])
-        assert np.array_equal(doubled.samples, continued)
-        assert (doubled.burn_in, doubled.seed) == (2 * burn, (17, 0))
+        half, full = _run_chains(model, cfg)
+        assert np.array_equal(full.samples, sample_invariant(model, cfg).samples)
+        # The half sample is those chains stepped on the first B // 2 columns
+        # of the seed's (n, B) block.
+        bits = _arrival_bits((17, 0), 0.55, n, burn)
+        expected = np.repeat(model.P0.a[None], n, axis=0)
+        for t in range(burn // 2):
+            expected = operators.step(model, expected, bits[:, t])
+        assert np.array_equal(half.samples, expected)
+        assert (half.burn_in, half.seed) == (burn // 2, (17, 0))
 
         pred = EventPredicate.ball_complement(
             {"scalar": 30.0, "planar": 15.0}[model_name])
@@ -369,13 +364,13 @@ class TestDecayFit:
                 gamma_bar=g, n_samples=n, burn_in=burn, seed=(17, j)))
             assert np.array_equal(dist.samples, plain.samples)
             assert fit.probs[j] == event_probability(plain, pred, p_star)[0]
-        p2, _ = event_probability(doubled, pred, p_star)
-        assert fit.burn_in_drift["p_at_doubled_burn_in"] == p2
+        p_half, _ = event_probability(half, pred, p_star)
+        assert fit.burn_in_drift["p_at_half_burn_in"] == p_half
         assert fit.burn_in_drift["p_at_burn_in"] == fit.probs[0]
 
-    def test_gridpoint_zero_steps_its_chains_twice(self, scalar_model, monkeypatch):
-        # Gridpoint 0 draws one (2n, B) block and makes 2 n B chain-steps;
-        # every other gridpoint draws (n, B) and makes n B.
+    def test_every_gridpoint_steps_its_chains_once(self, scalar_model, monkeypatch):
+        # Every gridpoint, gridpoint 0 and its drift check included, draws
+        # one (n, B) block and makes n B chain-steps.
         draws, chain_steps = [], []
         real_bits, real_step = montecarlo._arrival_bits, montecarlo.step
 
@@ -393,8 +388,28 @@ class TestDecayFit:
         n, burn = 40, 7
         decay_exponent_fit(scalar_model, EventPredicate.ball_complement(1.0),
                            [0.5, 0.6, 0.7], n, burn, 3)
-        assert draws == [((3, 0), 2 * n, burn), ((3, 1), n, burn), ((3, 2), n, burn)]
-        assert chain_steps == [2 * n * burn, n * burn, n * burn]
+        assert draws == [((3, 0), n, burn), ((3, 1), n, burn), ((3, 2), n, burn)]
+        assert chain_steps == [n * burn] * 3
+
+    @pytest.mark.parametrize("burn, within", [(6, False), (100, True)])
+    def test_drift_flags_a_short_burn_in(self, scalar_model, scalar_pstar, burn, within):
+        # From P0 = 1e3 six steps leave gridpoint 0 far from its invariant
+        # law: 0.0915 of the chains hit after 3 steps, 0.0405 after 6.
+        model = _start_at(scalar_model, 1e3)
+        pred = EventPredicate.ball_complement(40.0 - scalar_pstar.item())
+        fit = decay_exponent_fit(model, pred, (0.55, 0.6, 0.65), 2000, burn, 1)
+        assert fit.burn_in_drift["within_2se"] is within
+
+    @pytest.mark.parametrize("p_half, within", [(0.0, True), (1.0, False)])
+    def test_drift_of_degenerate_fractions(self, scalar_pstar, p_half, within):
+        # Fractions of 0 and 1 have no spread, so only equal ones agree.
+        pred = EventPredicate.ball_complement(20.0)
+        value = scalar_pstar.item() + 100.0 * p_half
+        half = EmpiricalDistribution(samples=np.full((10, 1, 1), value), gamma_bar=0.5,
+                                     burn_in=2, seed=(0,))
+        drift = _burn_in_drift(pred, 0.0, half, scalar_pstar)
+        assert (drift["p_at_half_burn_in"], drift["combined_se"]) == (p_half, 0.0)
+        assert drift["within_2se"] is within
 
     def test_to_dict_round_trips_to_json(self, scalar_model, scalar_pstar):
         import json
