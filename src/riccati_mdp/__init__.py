@@ -32,8 +32,6 @@ from .strings import (
     eval_string,
     format_run_length,
     invariant_upper_scale,
-    parse_run_length,
-    pi_count,
     string_upper_bound,
     value_key,
 )
@@ -91,8 +89,6 @@ __all__ = [
     "eval_string",
     "format_run_length",
     "invariant_upper_scale",
-    "parse_run_length",
-    "pi_count",
     "string_upper_bound",
     "value_key",
     "Atom",

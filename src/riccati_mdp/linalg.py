@@ -26,9 +26,12 @@ SCREEN_MARGIN = 1e-10
 class SymMatrix:
     """Immutable dense symmetric matrix with finite entries.
 
-    Construction symmetrizes the input as (X + X^T) / 2 so the symmetry
-    invariant holds exactly even when the input carries float round-off,
-    and freezes the backing array.  A scalar or a 1x1 nested list is
+    Construction keeps an exactly symmetric input as it is and averages any
+    other as X / 2 + X^T / 2, so the symmetry invariant holds exactly even
+    when the input carries float round-off, and freezes the backing array.
+    Halving first keeps finite entries finite up to the float maximum;
+    halving only the asymmetric inputs keeps subnormal entries of the
+    symmetric ones bit for bit.  A scalar or a 1x1 nested list is
     accepted and treated as a 1x1 matrix.
     """
 
@@ -40,8 +43,8 @@ class SymMatrix:
             a = a.reshape(1, 1)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        # Checked after symmetrizing: entries near the float limit overflow there.
-        a = (a + a.T) / 2.0
+        if (a != a.T).any():
+            a = a / 2.0 + a.T / 2.0
         if not np.all(np.isfinite(a)):
             raise ValueError("matrix entries must be finite")
         a.flags.writeable = False

@@ -134,9 +134,7 @@ def simulate_rre(m, cfg: SimulationConfig) -> Trajectory:
     """Single chain over cfg.horizon steps; returns P_0..P_horizon and the bits.
 
     The path advances through `operators.step` on a batch of one.  A step
-    that leaves the range of `SymMatrix` raises RuntimeError naming that
-    step: one that overflows, and one past half the float maximum, where
-    symmetrizing as (X + X^T) / 2 overflows.
+    that overflows raises RuntimeError naming that step.
     """
     p = _entry(m, m.P0, "P0")
     bits = _arrival_bits(cfg.seed_tuple(), cfg.gamma_bar, 1, cfg.horizon)

@@ -81,8 +81,9 @@ def step(m, p: np.ndarray, bits: np.ndarray) -> np.ndarray:
       of the stack, so each pass runs along the chain axis instead of in
       inner loops of length N*N.  A @ (A P)^T gives A P A^T with its two
       matrix indices swapped, so Q and the correction are added swapped as
-      well, and X + X^T, halved, leaves no trace of the swap while it keeps
-      round-off from drifting across steps.  A single output makes the
+      well, and X / 2 + X^T / 2 leaves no trace of the swap while it keeps
+      round-off from drifting across steps.  Halving first keeps a finite
+      result finite up to the float maximum.  A single output makes the
       correction the rank-one term u u^T / s with u = A P c^T and
       s = c P c^T + r; more outputs solve against the innovation matrix,
       and a singular one raises RuntimeError.  The correction is taken
@@ -126,9 +127,10 @@ def step(m, p: np.ndarray, bits: np.ndarray) -> np.ndarray:
             raise RuntimeError(f"innovation matrix is singular: {exc}") from exc
         corr = corr.transpose(2, 1, 0)
     out = np.where(arrived, f0 - corr, f0)
-    out = out + out.transpose(1, 0, 2)
-    # Halving by a product is exact, so it rounds as (X + X^T) / 2 does.
+    # Halving by a product is exact in the normal range, so the sum rounds
+    # as (X + X^T) / 2 does.
     out *= 0.5
+    out = out + out.transpose(1, 0, 2)
     return out.transpose(2, 0, 1)
 
 

@@ -16,8 +16,8 @@ merging words whose values coincide on a rounding grid (property-tested
 against a brute force walk without merging).  Inside the cut, a node is
 pruned when no word of the remaining length can carry it into G: any word
 of length l sends X to at most f0^l(X), whose norm is at most
-||X|| ||A^l||^2 + ||f0^l(0)||, so for `ballc` (radius above the center's
-top eigenvalue) and `norm-above` sets a node below a per-length norm floor
+||X|| ||A^l||^2 + ||f0^l(0)||, so for `ballc` (radius above the top
+eigenvalue of P*) and `norm-above` sets a node below a per-length norm floor
 cannot hit (`_reach_floor`; `custom` sets are never pruned).  On the
 planar model this leaves two children per level instead of 2^L.
 
@@ -59,29 +59,27 @@ class EventPredicate:
     Three built-in shapes cover the rare events of interest:
 
     * ``ball_complement(M)``: points at distance >= M (or > M when open)
-      from a center, default the model fixed point;
+      from the model fixed point P*;
     * ``norm_above(b)``: points with spectral norm > b;
     * ``custom(fn)``: arbitrary user test.
 
-    A center of None is resolved to the fixed point by whoever evaluates the
-    predicate, so one predicate value can serve several models.
+    P* is passed in by whoever evaluates the predicate, so one predicate
+    value can serve several models.
     """
 
-    __slots__ = ("kind", "threshold", "center", "open_", "fn")
+    __slots__ = ("kind", "threshold", "open_", "fn")
 
-    def __init__(self, kind, threshold=math.nan, center=None, open_=False, fn=None):
+    def __init__(self, kind, threshold=math.nan, open_=False, fn=None):
         self.kind = kind
         self.threshold = float(threshold) if threshold is not None else math.nan
-        self.center = as_sym(center) if center is not None else None
         self.open_ = bool(open_)
         self.fn = fn
 
     @classmethod
-    def ball_complement(cls, m_radius: float, center: Optional[SymMatrix] = None,
-                        open_: bool = False) -> "EventPredicate":
+    def ball_complement(cls, m_radius: float, open_: bool = False) -> "EventPredicate":
         if not m_radius > 0.0:
             raise ValueError(f"ball-complement radius must be positive, got {m_radius}")
-        return cls("ballc", threshold=m_radius, center=center, open_=open_)
+        return cls("ballc", threshold=m_radius, open_=open_)
 
     @classmethod
     def norm_above(cls, b: float) -> "EventPredicate":
@@ -111,20 +109,6 @@ class EventPredicate:
             return cls.norm_above(threshold)
         raise ValueError(f"unknown predicate kind {head!r}")
 
-    def to_spec(self) -> str:
-        if self.kind == "ballc":
-            return f"{'ballc-open' if self.open_ else 'ballc'}:{self.threshold!r}"
-        if self.kind == "norm-above":
-            return f"norm-above:{self.threshold!r}"
-        return "custom"
-
-    def _resolved_center(self, p_star: Optional[SymMatrix]) -> SymMatrix:
-        if self.center is not None:
-            return self.center
-        if p_star is None:
-            raise ValueError("predicate needs the model fixed point to resolve its center")
-        return p_star
-
     def matches(self, x: SymMatrix, p_star: Optional[SymMatrix] = None) -> bool:
         """Membership of one matrix: `batch` on a batch of one."""
         return bool(self.batch(as_sym(x).a[None], p_star)[0])
@@ -133,7 +117,7 @@ class EventPredicate:
         """Vectorized membership over an exactly symmetric stack (n, N, N).
 
         Raises RuntimeError when a matrix has a non-finite entry, which has
-        no norm to score.
+        no norm to score, and ValueError when a ball is scored without P*.
         """
         values = np.asarray(values, dtype=float)
         if not np.isfinite(values).all():
@@ -141,8 +125,9 @@ class EventPredicate:
         if self.kind == "custom":
             return np.array([bool(self.fn(SymMatrix(v))) for v in values], dtype=bool)
         if self.kind == "ballc":
-            delta = values - self._resolved_center(p_star).a
-            return norms_exceed(delta, [self.threshold], strict=self.open_)[0]
+            if p_star is None:
+                raise ValueError("a ball-complement predicate needs the model fixed point P*")
+            return norms_exceed(values - p_star.a, [self.threshold], strict=self.open_)[0]
         if self.kind == "norm-above":
             return norms_exceed(values, [self.threshold])[0]
         raise ValueError(f"unknown predicate kind {self.kind!r}")
@@ -264,7 +249,7 @@ def rate_over_set(m, pred: EventPredicate, k_cap: int = DEFAULT_K_CAP,
     scored, nodes whose norm lies below the reach floor for the k_G - L
     steps left are pruned as well (`_reach_floor`): no word of that length
     can carry them into the set.  This applies to `norm-above` sets and to
-    `ballc` sets whose radius exceeds the center's top eigenvalue, and it
+    `ballc` sets whose radius exceeds the top eigenvalue of P*, and it
     changes only `strings_examined`.  The exponent is the smallest count of
     a hit, and the witness is the lexicographically smallest hitting word
     with that count (0 sorts before 1, shorter before longer at equal
@@ -334,16 +319,16 @@ def _reach_floor(m, pred: EventPredicate, p_star: SymMatrix,
     f1 <= f0 and f0 is monotone, so any word of length l sends X to at most
     f0^l(X) = A^l X A^l' + f0^l(0), whose norm is at most ||X|| g_l + s_l
     with g_l = ||A^l||^2 and s_l = ||f0^l(0)||.  Word values are PSD, so a
-    `norm-above:b` hit needs that sum above b, and a `ballc:M` hit with
-    center c and M > lambda_max(c) needs it at or above M + lambda_min(c):
-    Y - c has no eigenvalue below -lambda_max(c).  So a node X can hit
+    `norm-above:b` hit needs that sum above b, and a `ballc:M` hit about
+    P* with M > lambda_max(P*) needs it at or above M + lambda_min(P*):
+    Y - P* has no eigenvalue below -lambda_max(P*).  So a node X can hit
     within R steps only if ||X|| >= min over l <= R of (t - s_l) / g_l,
     the floor returned at index R - 1, with the target t lowered by the
     relative REACH_MARGIN.  An l whose g_l or s_l is not finite, or whose
     g_l is zero or below REACH_MARGIN * ||A||^(2 l) (A^l near nilpotent,
     where float steps can stand far above the exact bound), gives a floor
     of -inf, which prunes nothing.  Returns None for `custom` predicates,
-    for a ball no larger than the center's top eigenvalue, and for
+    for a ball no larger than the top eigenvalue of P*, and for
     depth < 1 (an entry step of 0 or 1 leaves no level to prune).
     """
     if depth < 1:
@@ -351,7 +336,7 @@ def _reach_floor(m, pred: EventPredicate, p_star: SymMatrix,
     if pred.kind == "norm-above":
         target = pred.threshold
     elif pred.kind == "ballc":
-        spectrum = np.linalg.eigvalsh(pred._resolved_center(p_star).a)
+        spectrum = np.linalg.eigvalsh(p_star.a)
         if not pred.threshold * (1.0 - REACH_MARGIN) > spectrum[-1]:
             return None
         target = pred.threshold + spectrum[0]

@@ -7,17 +7,16 @@ A word r = (i_1, ..., i_n) acts by composition
 so the LAST bit touches the initial matrix first and the first bit is the
 outermost, most recent update.  Reading a sample path P_t produced by arrivals
 (g_0, ..., g_{t-1}) therefore gives the word (g_{t-1}, ..., g_0): newest
-arrival first.  The number of 0 bits (`pi_count`) is the count of open-loop
-updates in the word and is the quantity every decay exponent in this package
-minimizes.
+arrival first.  The number of 0 bits (`StringValue.pi`) is the count of
+open-loop updates in the word and is the quantity every decay exponent in
+this package minimizes.
 
-Words use a run-length text form, e.g. "0,1^3,0^2" for (0, 1, 1, 1, 0, 0);
-the empty word prints as "".
+Words print in a run-length text form, e.g. "0,1^3,0^2" for
+(0, 1, 1, 1, 0, 0); the empty word prints as "".
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,30 +26,12 @@ from .operators import _entry, _steps, step
 
 # Relative pitch of the rounding grid on which word values are merged.
 DEDUP_TOL = 1e-9
-# Doubling searches for an envelope scale give up past 2^_MAX_DOUBLINGS.
+# The doubling search for an invariant scale gives up past 2^_MAX_DOUBLINGS.
 _MAX_DOUBLINGS = 60
-
-_RUN_TOKEN = re.compile(r"^([01])(?:\^([1-9][0-9]*))?$")
-
-
-def parse_run_length(text: str) -> tuple[int, ...]:
-    """Parse "0,1^3,0^2" into the bit tuple (0, 1, 1, 1, 0, 0)."""
-    text = text.strip()
-    if text == "":
-        return ()
-    bits: list[int] = []
-    for token in text.split(","):
-        match = _RUN_TOKEN.match(token.strip())
-        if match is None:
-            raise ValueError(f"bad run-length token {token.strip()!r}")
-        bit = int(match.group(1))
-        count = int(match.group(2)) if match.group(2) else 1
-        bits.extend([bit] * count)
-    return tuple(bits)
 
 
 def format_run_length(bits: tuple[int, ...]) -> str:
-    """Inverse of parse_run_length; single runs print without the caret."""
+    """Run-length text of a bit tuple, e.g. "0,1^3,0^2"; single runs print without the caret."""
     out: list[str] = []
     i = 0
     while i < len(bits):
@@ -77,20 +58,11 @@ class GammaString:
         object.__setattr__(self, "bits", bits)
         object.__setattr__(self, "initial", as_sym(self.initial))
 
-    @classmethod
-    def from_text(cls, text: str, initial: SymMatrix) -> "GammaString":
-        return cls(bits=parse_run_length(text), initial=initial)
-
     def to_text(self) -> str:
         return format_run_length(self.bits)
 
     def __len__(self) -> int:
         return len(self.bits)
-
-
-def pi_count(r: GammaString) -> int:
-    """Number of open-loop (bit 0) updates in the word."""
-    return len(r.bits) - sum(r.bits)
 
 
 @dataclass(frozen=True)
@@ -104,7 +76,7 @@ def eval_string(m, r: GammaString) -> StringValue:
     """Apply the word to its starting covariance, innermost bit first."""
     bits = np.array(r.bits[::-1], dtype=bool).reshape(-1, 1)
     p = _steps(m, _entry(m, r.initial, "initial"), bits, f"word {r.to_text()!r}")
-    return StringValue(value=SymMatrix(p[0]), pi=pi_count(r), source=r)
+    return StringValue(value=SymMatrix(p[0]), pi=r.bits.count(0), source=r)
 
 
 def _grid_keys(values: np.ndarray, sizes=None) -> np.ndarray:
@@ -205,26 +177,16 @@ def invariant_upper_scale(m) -> float:
 def string_upper_bound(m, r: GammaString) -> tuple[SymMatrix, float]:
     """Envelope bound: value(r) <= f0^pi(alpha * I) for a word-independent alpha.
 
-    alpha is doubled up from max(b, ||initial||), where b is the invariant
-    scale of the measurement update, until initial <= alpha * I.  Only the
-    count of open-loop steps enters the envelope, not their positions, which
-    is what makes the bound useful for exponent arguments.  A violation of
-    the final comparison is reported as an error, not returned.
+    alpha = max(b, ||initial||), where b is the invariant scale of the
+    measurement update, so initial <= alpha * I.  Only the count of
+    open-loop steps enters the envelope, not their positions, which is what
+    makes the bound useful for exponent arguments.  A violation of the final
+    comparison is reported as an error, not returned.
     """
-    beta = invariant_upper_scale(m)
-    n = m.dim_state
-    alpha = max(beta, spectral_norm(r.initial))
-    eye = np.eye(n)
-    for _ in range(_MAX_DOUBLINGS):
-        if loewner_leq(r.initial, SymMatrix(alpha * eye)):
-            break
-        alpha *= 2.0
-    else:
-        raise RuntimeError(
-            f"no alpha with initial <= alpha * I after {_MAX_DOUBLINGS} doublings")
-
-    open_loop = np.zeros((pi_count(r), 1), dtype=bool)
-    bound = SymMatrix(_steps(m, alpha * eye[None], open_loop, "f0^pi(alpha * I)")[0])
+    alpha = max(invariant_upper_scale(m), spectral_norm(r.initial))
+    open_loop = np.zeros((r.bits.count(0), 1), dtype=bool)
+    start = alpha * np.eye(m.dim_state)[None]
+    bound = SymMatrix(_steps(m, start, open_loop, "f0^pi(alpha * I)")[0])
 
     value = eval_string(m, r).value
     if not loewner_leq(value, bound, tol=1e-7):

@@ -260,8 +260,7 @@ class TestSimulate:
     def test_overflow_exits_three(self, tmp_path, capsys):
         # With (almost) no arrivals the planar path grows like 1.44^t and
         # overflows near step 1950: a numeric failure, not a config problem.
-        # Symmetrizing as (X + X^T) / 2 overflows first and warns (ROADMAP
-        # item 1).
+        # The overflow warns in the matrix product.
         cfg = write_config(tmp_path, model=PLANAR_MODEL,
                            simulate={"gamma": 1e-9, "horizon": 2000, "seed": 1})
         out = tmp_path / "sim"
@@ -272,14 +271,15 @@ class TestSimulate:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_scalar_overflow_exits_three(self, tmp_path, capsys):
-        # 1e307 * 2.25^3 is finite, but over half the float maximum, so
-        # symmetrizing it as (X + X^T) / 2 overflows: step 3 is named.
+        # 1e307 * 2.25^3 = 1.14e308 is finite, and 2.25 times that is not:
+        # step 4 is named.  The square in f1 overflows from step 1 and warns,
+        # although no arrival takes f1.
         model = {**SCALAR_MODEL, "A": [[1.5]], "P0": [[1e307]]}
         cfg = write_config(tmp_path, model=model, simulate={"gamma": 1e-9, "horizon": 4})
         out = tmp_path / "sim"
         assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 3
         err = capsys.readouterr().err
-        assert "non-finite at step 3" in err and "config error" not in err
+        assert "non-finite at step 4" in err and "config error" not in err
         assert not (out / "trajectory.csv").exists()
 
 

@@ -13,8 +13,6 @@ from riccati_mdp import (
     format_run_length,
     invariant_upper_scale,
     loewner_leq,
-    parse_run_length,
-    pi_count,
     random_psd,
     spectral_norm,
     string_upper_bound,
@@ -25,27 +23,25 @@ import oracles
 from riccati_mdp.strings import _fold_groups, _group_rows
 
 
-class TestRunLength:
-    def test_parse_basic(self):
-        assert parse_run_length("0,1^3,0^2") == (0, 1, 1, 1, 0, 0)
-        assert parse_run_length("1") == (1,)
-        assert parse_run_length("") == ()
+def _expand(text):
+    """Bits of a run-length text, e.g. "0,1^3" gives (0, 1, 1, 1)."""
+    runs = [token.partition("^") for token in text.split(",")] if text else []
+    return tuple(int(bit) for bit, _, count in runs for _ in range(int(count or 1)))
 
+
+class TestRunLength:
     def test_format_basic(self):
         assert format_run_length((0, 1, 1, 1, 0, 0)) == "0,1^3,0^2"
         assert format_run_length((1,)) == "1"
         assert format_run_length(()) == ""
 
     def test_round_trip(self):
+        # The printed text expands back to the word, with no "^1" runs.
         rng = np.random.default_rng(2)
         for _ in range(500):
             bits = tuple(int(b) for b in rng.integers(0, 2, size=rng.integers(0, 20)))
-            assert parse_run_length(format_run_length(bits)) == bits
-
-    def test_rejects_garbage(self):
-        for bad in ("2", "0,,1", "0,1^0", "01", "1^-2", "a"):
-            with pytest.raises(ValueError):
-                parse_run_length(bad)
+            text = format_run_length(bits)
+            assert _expand(text) == bits and "^1," not in text + ","
 
 
 class TestGammaString:
@@ -53,15 +49,15 @@ class TestGammaString:
         with pytest.raises(ValueError):
             GammaString(bits=(0, 2), initial=SymMatrix(1.0))
 
-    def test_pi_counts_zeros(self):
+    def test_pi_counts_zeros(self, scalar_model):
         r = GammaString(bits=(0, 1, 1, 0, 0), initial=SymMatrix(1.0))
-        assert pi_count(r) == 3
+        assert eval_string(scalar_model, r).pi == 3
         assert len(r) == 5
 
     def test_text_round_trip(self):
-        r = GammaString.from_text("0^2,1,0", SymMatrix(2.0))
-        assert r.bits == (0, 0, 1, 0)
+        r = GammaString(bits=(0, 0, 1, 0), initial=SymMatrix(2.0))
         assert r.to_text() == "0^2,1,0"
+        assert _expand(r.to_text()) == r.bits
 
 
 class TestEvalString:
@@ -99,7 +95,7 @@ class TestEvalString:
         # Admissible, but f0 multiplies by 1e40: eight open-loop steps overflow.
         m = SystemModel(A=1e20, C=1.0, Q=1.0, R=1.0, P0=1.0)
         with pytest.raises(RuntimeError, match="non-finite"):
-            eval_string(m, GammaString.from_text("0^20", m.P0))
+            eval_string(m, GammaString(bits=(0,) * 20, initial=m.P0))
 
     def test_value_includes_metadata(self, scalar_model):
         r = GammaString(bits=(0, 0), initial=SymMatrix(1.0))
@@ -199,12 +195,12 @@ class TestUpperBounds:
     def test_scalar_bound_closed_form(self, scalar_model, scalar_pstar):
         # With base scale 4 and pi = 3 zero bits, the envelope is
         # f0^3(4) = 2^3 * 4 + 7 = 39.
-        r = GammaString.from_text("0,1^3,0^2", scalar_pstar)
+        r = GammaString(bits=(0, 1, 1, 1, 0, 0), initial=scalar_pstar)
         bound, scale = string_upper_bound(scalar_model, r)
         assert scale == pytest.approx(4.0)
         assert bound.item() == pytest.approx(39.0, rel=1e-12)
 
     def test_bound_depends_only_on_pi(self, scalar_model, scalar_pstar):
-        a, _ = string_upper_bound(scalar_model, GammaString.from_text("0^2,1", scalar_pstar))
-        b, _ = string_upper_bound(scalar_model, GammaString.from_text("1,0,1,0", scalar_pstar))
+        a, _ = string_upper_bound(scalar_model, GammaString((0, 0, 1), scalar_pstar))
+        b, _ = string_upper_bound(scalar_model, GammaString((1, 0, 1, 0), scalar_pstar))
         assert a.item() == pytest.approx(b.item(), rel=1e-12)
