@@ -500,20 +500,19 @@ def exceedance_sup(m, gamma_bar: float, thresholds: Sequence[float], horizon: in
     bits = _arrival_bits(cfg.seed_tuple(), gamma_bar, n_chains, horizon)
 
     p = np.repeat(p0, n_chains, axis=0)
-    sup_freq = [0.0] * len(thresholds)
-    arg_t = [0] * len(thresholds)
+    # counts[t, j]: chains above threshold j at step t.
+    counts = np.empty((horizon + 1, len(thresholds)), dtype=np.int64)
     for t in range(horizon + 1):
         bad = _count_non_finite(p)
         if bad:
             raise RuntimeError(f"{bad} of {n_chains} chains went non-finite by step "
                                f"{t} (gamma_bar={gamma_bar})")
-        over = norms_exceed(p, thresholds)
-        for j in range(len(thresholds)):
-            freq = float(np.mean(over[j]))
-            if freq > sup_freq[j]:
-                sup_freq[j] = freq
-                arg_t[j] = t
+        counts[t] = np.count_nonzero(norms_exceed(p, thresholds), axis=1)
         if t < horizon:
             p = step(m, p, bits[:, t])
-    return ExceedanceReport(thresholds=thresholds, sup_frequency=tuple(sup_freq),
-                            argmax_t=tuple(arg_t), n_chains=n_chains, horizon=horizon)
+    # argmax takes the first step at the largest count, and step 0 when none is hit.
+    arg_t = counts.argmax(axis=0)
+    return ExceedanceReport(
+        thresholds=thresholds,
+        sup_frequency=tuple(int(counts[t, j]) / n_chains for j, t in enumerate(arg_t)),
+        argmax_t=tuple(int(t) for t in arg_t), n_chains=n_chains, horizon=horizon)

@@ -75,8 +75,18 @@ def step(m, p: np.ndarray, bits: np.ndarray) -> np.ndarray:
     `lyapunov_step` / `riccati_step` all step through it.  Inputs are trusted
     to be symmetric PSD and are not checked.
 
+    Each chain's map is chosen without a select: keep = -bits as uint64 is
+    all ones where the observation arrived and 0 elsewhere, and ANDing it
+    into the bits of the correction leaves either the correction or +0.
+    Since x - (+0) = x for every double (-0, +-inf and NaN included),
+    f0 - masked correction is f1 where bits is set and exactly f0 elsewhere.
+
     * N = 1 with one output uses the closed forms a^2 x + q and
-      a^2 x + q - (a c x)^2 / (c^2 x + r), elementwise.
+      a^2 x + q - (a c x)^2 / (c^2 x + r), elementwise.  a c x is masked
+      before it is squared, so a chain that takes f0 never overflows in the
+      square.  Its correction is then 0 / (c^2 x + r), which is +0 wherever
+      that denominator is positive: for every PSD input, +inf included, on
+      a model with r > 0.
     * Otherwise the elementwise work runs on an entry-major (N, N, k) copy
       of the stack, so each pass runs along the chain axis instead of in
       inner loops of length N*N.  A @ (A P)^T gives A P A^T with its two
@@ -86,9 +96,10 @@ def step(m, p: np.ndarray, bits: np.ndarray) -> np.ndarray:
       result finite up to the float maximum.  A single output makes the
       correction the rank-one term u u^T / s with u = A P c^T and
       s = c P c^T + r; more outputs solve against the innovation matrix,
-      and a singular one raises RuntimeError.  The correction is taken
-      where bits is set.  The result is a (k, N, N) view of the entry-major
-      output.
+      and a singular one raises RuntimeError.  The whole (N, N, k)
+      correction is masked, not u: a non-finite u would leave NaN in a
+      product with a masked factor.  The result is a (k, N, N) view of the
+      entry-major output.
     * P c^T and c P c^T stay matrix-vector products on the chain-major
       (k*N, N) input: BLAS accumulates a matrix-vector product in another
       order when its operand is transposed, which would move the last bit
@@ -97,12 +108,13 @@ def step(m, p: np.ndarray, bits: np.ndarray) -> np.ndarray:
       to the bit.
     """
     k, n, _ = p.shape
-    arrived = np.asarray(bits, dtype=bool)
+    keep = np.negative(np.asarray(bits, dtype=bool), dtype=np.uint64)
     if n == 1 and m.dim_obs == 1:
         a, c = m.A[0, 0], m.C[0, 0]
-        f0 = a * a * p + m.Q.a[0, 0]
-        f1 = f0 - (a * c * p) ** 2 / (c * c * p + m.R.a[0, 0])
-        return np.where(arrived[:, None, None], f1, f0)
+        acx = a * c * p
+        masked = acx.view(np.uint64)
+        masked &= keep[:, None, None]
+        return a * a * p + m.Q.a[0, 0] - acx ** 2 / (c * c * p + m.R.a[0, 0])
     a, c = m.A, m.C
     flat = p.reshape(k * n, n)
     em = np.ascontiguousarray(p.transpose(1, 2, 0))
@@ -111,10 +123,13 @@ def step(m, p: np.ndarray, bits: np.ndarray) -> np.ndarray:
     f0 = (a @ ap.transpose(1, 0, 2).reshape(n, n * k)).reshape(n, n, k)
     f0 += m.Q.a[:, :, None]
     if m.dim_obs == 1:
-        pc = (flat @ c[0]).reshape(k, n)
+        c0 = c[0]
+        pc = (flat @ c0).reshape(k, n)
         u = a @ pc.T
-        s = pc @ c[0] + m.R.a[0, 0]
-        corr = (u / s)[:, None, :] * u[None, :, :]
+        s = pc @ c0 + m.R.a[0, 0]
+        corr = (u / s)[:, None, :] * u
+        masked = corr.view(np.uint64)
+        masked &= keep
     else:
         axct = (ap.transpose(2, 0, 1).reshape(k * n, n) @ c.T).reshape(k, n, -1)
         innov = c @ (flat @ c.T).reshape(k, n, -1) + m.R.a
@@ -125,12 +140,14 @@ def step(m, p: np.ndarray, bits: np.ndarray) -> np.ndarray:
             # Admissible models keep the innovation positive definite, so
             # this only happens once a chain has gone non-finite.
             raise RuntimeError(f"innovation matrix is singular: {exc}") from exc
+        masked = corr.view(np.uint64)
+        masked &= keep[:, None, None]
         corr = corr.transpose(2, 1, 0)
-    out = np.where(arrived, f0 - corr, f0)
+    f0 -= corr
     # Halving by a product is exact in the normal range, so the sum rounds
     # as (X + X^T) / 2 does.
-    out *= 0.5
-    out = out + out.transpose(1, 0, 2)
+    f0 *= 0.5
+    out = f0 + f0.transpose(1, 0, 2)
     return out.transpose(2, 0, 1)
 
 

@@ -384,3 +384,29 @@ def envelope_steps_loop(kappa1, q_norm, a2, threshold, cap=10_000):
         if k > cap:
             return None
     return k
+
+
+def exceedance_scan_loop(step, p0, bits, thresholds):
+    """Frozen copy of the threshold-at-a-time scan of `exceedance_sup`.
+
+    Chains start at the (1, N, N) array p0 and take step(p, bits[:, t]) for
+    t < horizon = bits.shape[1].  At every t each threshold M is scored on
+    its own as the mean of ||P_t|| > M, and a step replaces the best so far
+    only when its frequency is strictly higher, so the first step at the
+    largest frequency is kept, and step 0 when none is hit.  Returns
+    (sup_frequency, argmax_t) as tuples of Python numbers.
+    """
+    n_chains, horizon = bits.shape
+    p = np.repeat(p0, n_chains, axis=0)
+    sup_freq = [0.0] * len(thresholds)
+    arg_t = [0] * len(thresholds)
+    for t in range(horizon + 1):
+        norms = spectral_norms(p)
+        for j, threshold in enumerate(thresholds):
+            freq = float(np.mean(norms > threshold))
+            if freq > sup_freq[j]:
+                sup_freq[j] = freq
+                arg_t[j] = t
+        if t < horizon:
+            p = step(p, bits[:, t])
+    return tuple(sup_freq), tuple(arg_t)

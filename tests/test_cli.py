@@ -272,8 +272,7 @@ class TestSimulate:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_scalar_overflow_exits_three(self, tmp_path, capsys):
         # 1e307 * 2.25^3 = 1.14e308 is finite, and 2.25 times that is not:
-        # step 4 is named.  The square in f1 overflows from step 1 and warns,
-        # although no arrival takes f1.
+        # step 4 is named.  The product in f0 overflows there and warns.
         model = {**SCALAR_MODEL, "A": [[1.5]], "P0": [[1e307]]}
         cfg = write_config(tmp_path, model=model, simulate={"gamma": 1e-9, "horizon": 4})
         out = tmp_path / "sim"

@@ -2,6 +2,7 @@ import ast
 import hashlib
 import inspect
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -123,6 +124,21 @@ class TestSimulate:
             assert traj.path[0] == model.P0
             for x, bit, y in zip(traj.path, traj.arrivals, traj.path[1:]):
                 assert y == (riccati_step if bit else lyapunov_step)(model, x)
+
+    def test_open_loop_near_float_max_does_not_warn(self, scalar_model):
+        # 1e307 * 2.25^3 = 1.14e308 is finite, so steps 1-3 neither overflow
+        # nor warn, although (a c x)^2 is out of range on each of them; only
+        # a chain that takes f1 squares it.  Step 4 overflows f0 itself.
+        model = SystemModel(**{**scalar_model.to_dict(), "A": 1.5, "P0": 1e307})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = simulate_rre(model, SimulationConfig(gamma_bar=1e-9, horizon=3, seed=0))
+        assert traj.arrivals == (0, 0, 0)
+        assert [x.item() for x in traj.path] == pytest.approx(
+            [1e307 * 2.25**t for t in range(4)], rel=1e-12)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(RuntimeError, match="non-finite at step 4"):
+                simulate_rre(model, SimulationConfig(gamma_bar=1e-9, horizon=4, seed=0))
 
     def test_seeded_runs_repeat(self, scalar_model):
         cfg = SimulationConfig(gamma_bar=0.6, horizon=30, seed=12)
@@ -582,6 +598,19 @@ class TestExceedance:
         a = exceedance_sup(scalar_model, 0.6, [50.0], 100, 100, seed=6)
         b = exceedance_sup(scalar_model, 0.6, [50.0], 100, 100, seed=6)
         assert a.sup_frequency == b.sup_frequency
+
+    @pytest.mark.parametrize("which", ["scalar", "planar"])
+    def test_matches_threshold_at_a_time_scan(self, scalar_model, planar, which):
+        # Thresholds hit by every chain at step 0, by some chains later, and
+        # by none, so both tie rules (first step, step 0) are exercised.
+        m = scalar_model if which == "scalar" else planar
+        thresholds = (0.0, 7.0, 15.0, 30.0, 1e9)
+        rep = exceedance_sup(m, 0.5, thresholds, horizon=60, n_chains=400, seed=9)
+        bits = _arrival_bits((9,), 0.5, 400, 60)
+        want = oracles.exceedance_scan_loop(
+            lambda p, b: oracles.step_broadcast(m, p, b), m.P0.a[None], bits, thresholds)
+        assert (rep.sup_frequency, rep.argmax_t) == want
+        assert 0.0 < min(rep.sup_frequency[1:-1]) and max(rep.sup_frequency[1:-1]) < 1.0
 
     @pytest.mark.parametrize("kwargs", [
         {"gamma_bar": 1.5}, {"gamma_bar": 0.0}, {"gamma_bar": -1.0},

@@ -147,6 +147,60 @@ class TestFlatKernel:
             stack = got
 
 
+def _same_bits(got, want):
+    """Bit for bit, -0 and +0 apart, with any NaN equal to any NaN."""
+    nan = np.isnan(want)
+    got_bits, want_bits = got.view(np.uint64), want.view(np.uint64)
+    return np.array_equal(np.isnan(got), nan) and np.array_equal(got_bits[~nan],
+                                                                 want_bits[~nan])
+
+
+_SPECIAL = np.array([0.0, -0.0, math.inf, -math.inf, math.nan,
+                     1e155, 1e170, 1e185, 1e200])
+
+
+class TestMaskedSelect:
+    """A chain without an arrival gets exactly f0, whatever its correction holds."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 3), outputs=st.integers(1, 2), k=st.integers(1, 60),
+           seed=st.integers(0, 2**32 - 1))
+    def test_equals_broadcast_kernel_on_special_entries(self, n, outputs, k, seed):
+        rng = np.random.default_rng(seed)
+        m = _random_model(rng, n, outputs)
+        g = rng.standard_normal((k, n, n))
+        stack = g @ np.transpose(g, (0, 2, 1)) * 10.0 ** rng.uniform(-3, 4, (k, 1, 1))
+        hit = rng.random((k, n, n)) < 0.25
+        stack[hit] = rng.choice(_SPECIAL, hit.sum())
+        stack = np.triu(stack) + np.transpose(np.triu(stack, 1), (0, 2, 1))
+        # A strided column of an (n, steps) arrival block, as the chains read it.
+        block = rng.random((k, 7)) < rng.uniform()
+        bits = block[:, rng.integers(7)]
+        try:
+            want = oracles.step_broadcast(m, stack, bits)
+        except RuntimeError:
+            with pytest.raises(RuntimeError, match="singular"):
+                step(m, stack, bits)
+            return
+        assert _same_bits(step(m, stack, bits), want)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_correction_leaves_f0(self):
+        # P = inf * v v^T with v = (1, -1) and A v of one sign per row: every
+        # term of A P A^T is +inf, so f0 is +inf, while P c^T with c = (1, 1)
+        # is inf - inf = NaN, and so are u, s and the whole correction.
+        # Masking u (0 / NaN) or multiplying the correction by the bits
+        # (0 * NaN) would turn f0 into NaN.
+        m = SystemModel(A=[[1.0, -0.5], [0.5, -1.0]], C=[[1.0, 1.0]], Q=np.eye(2),
+                        R=1.0, P0=np.eye(2))
+        p = np.array([[[math.inf, -math.inf], [-math.inf, math.inf]]] * 2)
+        bits = np.array([False, True])
+        got = step(m, p, bits)
+        assert np.all(got[0] == math.inf) and np.isnan(got[1]).all()
+        assert _same_bits(got, oracles.step_broadcast(m, p, bits))
+
+
 class TestPowerProperty:
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 3), outputs=st.integers(1, 2),
