@@ -153,7 +153,8 @@ def _object(what: str, value, allowed: dict) -> dict:
 def _read(config, name: str, seed=None) -> dict:
     """Block `name` of a config, read by its table; `seed` (--seed) overrides "seed".
 
-    The config's top-level keys must name blocks, and the block's keys its fields.
+    The config's top-level keys must name blocks, and the block's keys its
+    fields.  A seed for a block whose table has no "seed" is a ConfigError.
     """
     _object("the config", config, _TABLES)
     if name not in config:
@@ -162,6 +163,8 @@ def _read(config, name: str, seed=None) -> dict:
     fields = {key: _value(name, key, reader, block.get(key, default))
               for key, (reader, default) in _TABLES[name].items()}
     if seed is not None:
+        if "seed" not in fields:
+            raise ConfigError(f'the "{name}" block reads no "seed"')
         fields["seed"] = _value("option", "--seed", _seed, seed)
     return fields
 

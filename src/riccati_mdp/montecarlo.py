@@ -1,13 +1,18 @@
 """Seeded Monte-Carlo sampling of the covariance chain, and its analytics.
 
 Reproducibility protocol: one sampling run draws its arrival bits from the
-keyed Philox stream of its seed tuple (`operators._stream`).  Chain i reads
-row i of an (n_chains, steps) block of uniforms, whatever the chain count, so
+keyed Philox stream of its seed tuple (`operators._stream`), eight bits per
+64-bit word.  Bit b = i * steps + t of chain i at step t reads lane b % 8 of
+word b // 8, where lane j of word w is (w >> 8j) & 0xFF, so chain i reads
+row i of an (n_chains, steps) block of lanes whatever the chain count, and
 the first chains of a large run are those of a small run with the same seed.
-A sweep over arrival rates derives per-gridpoint seed tuples as (master seed,
-gridpoint index).  A uniform is the raw Philox word w as (w >> 11) * 2^-53,
-so u < gamma_bar exactly when w < ceil(gamma_bar * 2^53) * 2^11, and the bits
-are thresholded on the raw words.
+With h = floor(256 gamma_bar), a lane below h is an arrival.  A lane equal to
+h is a tie: it reads the next word of the run's tie stream (purpose
+`operators._TIES`), ties in row-major order, and arrives when that word's
+uniform (w >> 11) * 2^-53 lies below 256 gamma_bar - h; the scaling and the
+subtraction are both exact.  The arrival probability is then gamma_bar to
+within 2^-61.  A sweep over arrival rates derives per-gridpoint seed tuples
+as (master seed, gridpoint index).
 
 The exponent fit's burn-in drift check reads gridpoint 0's own chains at
 B // 2 steps on their way to B.  Since the invariant law does not depend on
@@ -34,11 +39,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .linalg import SymMatrix, norms, norms_exceed, spectral_norm
-from .operators import _entry, _stream, solve_dare, step, uniform_bound_kappa
+from .operators import _TIES, _entry, _stream, solve_dare, step, uniform_bound_kappa
 from .rate import EventPredicate
 
-# Uniforms drawn per chunk when building arrival bits; bounds the float64
-# scratch instead of holding a whole (n_chains, steps) block of doubles.
+# Lanes drawn per chunk when building arrival bits, a multiple of 8 so that
+# every chunk starts on a word; bounds the word scratch instead of holding a
+# whole (n_chains, steps) block of words.  The bits do not depend on it.
 _DRAW_CHUNK = 1 << 16
 
 
@@ -80,34 +86,45 @@ def _as_seed_tuple(seed) -> tuple:
     return tuple(int(s) for s in seed)
 
 
-def _word_threshold(gamma_bar: float) -> int:
-    """T with (w >> 11) * 2^-53 < gamma_bar exactly when w < T, for gamma_bar in (0, 1).
+def _word_threshold(u: float) -> int:
+    """T with (w >> 11) * 2^-53 < u exactly when w < T, for u in [0, 1).
 
-    For an integer j, j < gamma_bar * 2^53 (exact: a power-of-two scaling)
-    holds exactly when j < ceil(gamma_bar * 2^53); T is that bound times
-    2^11, below 2^64 since gamma_bar < 1.
+    For an integer j, j < u * 2^53 (exact: a power-of-two scaling) holds
+    exactly when j < ceil(u * 2^53); T is that bound times 2^11, below 2^64
+    since u < 1, and 0 (no word) for u = 0.
     """
-    return math.ceil(gamma_bar * 2.0**53) << 11
+    return math.ceil(u * 2.0**53) << 11
 
 
 def _arrival_bits(seed_tuple: tuple, gamma_bar: float, n: int,
                   steps: int) -> np.ndarray:
-    """Arrival bits of n chains, shape (n, steps).
+    """Arrival bits of n chains at gamma_bar in (0, 1], shape (n, steps).
 
-    The run's (n, steps) uniform block of the seed tuple's stream, row-major,
-    thresholded at gamma_bar in (0, 1] on the raw words (`_word_threshold`),
-    so the bits equal `_stream(seed_tuple).random((n, steps)) < gamma_bar`.
+    Row-major bit b reads lane b % 8 of word b // 8 of the seed tuple's
+    stream, as a byte of the word's little-endian form, whatever the host's
+    byte order: ceil(n * steps / 8) words.  Lanes below h = floor(256
+    gamma_bar) arrive; each lane equal to h reads one word of the tie stream
+    and arrives when that word is below `_word_threshold(256 gamma_bar - h)`
+    (none when 256 gamma_bar is h).  gamma_bar = 1 sets every bit and draws
+    nothing.  See the module docstring.
     """
     bits = np.empty((n, steps), dtype=bool)
     if gamma_bar >= 1.0:
         bits.fill(True)
         return bits
-    threshold = np.uint64(_word_threshold(gamma_bar))
+    scaled = gamma_bar * 256.0
+    h = math.floor(scaled)
+    tie_threshold = np.uint64(_word_threshold(scaled - h))
     words = _stream(seed_tuple).bit_generator
+    tie_words = _stream(seed_tuple, _TIES).bit_generator
     flat = bits.reshape(-1)
     for i in range(0, flat.size, _DRAW_CHUNK):
         chunk = flat[i:i + _DRAW_CHUNK]
-        np.less(words.random_raw(chunk.size), threshold, out=chunk)
+        raw = words.random_raw(-(-chunk.size // 8)).astype("<u8", copy=False)
+        lanes = raw.view(np.uint8)[:chunk.size]
+        np.less(lanes, h, out=chunk)
+        ties = np.flatnonzero(lanes == h)
+        chunk[ties] = tie_words.random_raw(ties.size) < tie_threshold
     return bits
 
 
@@ -199,7 +216,7 @@ def _run_chains(m, cfg: SimulationConfig) -> tuple[EmpiricalDistribution,
                                                    EmpiricalDistribution]:
     """cfg's chains from the model's P0, after burn_in // 2 steps and after burn_in.
 
-    Chain i's bits are row i of the run's uniform block; the whole stack of
+    Chain i's bits are row i of the run's block of lanes; the whole stack of
     chains advances in lockstep through `operators.step`.
     """
     half_cfg = replace(cfg, burn_in=cfg.burn_in // 2)
@@ -215,7 +232,7 @@ def _run_chains(m, cfg: SimulationConfig) -> tuple[EmpiricalDistribution,
 def sample_invariant(m, cfg: SimulationConfig) -> EmpiricalDistribution:
     """Draw n_samples chains for burn_in steps each; keep the final covariances.
 
-    Chain i's bits are row i of the run's uniform block (`_run_chains`).
+    Chain i's bits are row i of the run's block of lanes (`_run_chains`).
     """
     return _run_chains(m, cfg)[1]
 
@@ -485,7 +502,7 @@ def exceedance_sup(m, gamma_bar: float, thresholds: Sequence[float], horizon: in
     """Empirical sup_t P(||P_t|| > M) over t = 0..horizon for each M.
 
     All thresholds share one batch of chains (chain i reads row i of the
-    run's uniform block, as everywhere else), so the frequencies are
+    run's block of lanes, as everywhere else), so the frequencies are
     comparable across thresholds.  gamma_bar, n_chains, horizon and seed are
     checked as a `SimulationConfig` with n_chains samples; ValueError also
     when no threshold is given or one is NaN, and RuntimeError when any

@@ -32,6 +32,7 @@ _DARE_MAX_ITERATIONS = 100_000
 # `solve_dare` stops once a step is below _DARE_TOL * (1 + ||X||).
 _DARE_TOL = 1e-12
 _SCREEN = 2  # purpose of the `is_class_A` screen's stream, read at seed (0,)
+_TIES = 3  # purpose of the tie stream of a sampling run (`montecarlo._arrival_bits`)
 
 
 def _entry(m, x, what: str) -> np.ndarray:
@@ -82,7 +83,8 @@ def step(m, p: np.ndarray, bits: np.ndarray) -> np.ndarray:
     f0 - masked correction is f1 where bits is set and exactly f0 elsewhere.
 
     * N = 1 with one output uses the closed forms a^2 x + q and
-      a^2 x + q - (a c x)^2 / (c^2 x + r), elementwise.  a c x is masked
+      a^2 x + q - (a c x)^2 / (c^2 x + r), elementwise and in place on
+      three arrays, in the order the expression reads.  a c x is masked
       before it is squared, so a chain that takes f0 never overflows in the
       square.  Its correction is then 0 / (c^2 x + r), which is +0 wherever
       that denominator is positive: for every PSD input, +inf included, on
@@ -114,7 +116,14 @@ def step(m, p: np.ndarray, bits: np.ndarray) -> np.ndarray:
         acx = a * c * p
         masked = acx.view(np.uint64)
         masked &= keep[:, None, None]
-        return a * a * p + m.Q.a[0, 0] - acx ** 2 / (c * c * p + m.R.a[0, 0])
+        acx *= acx
+        den = c * c * p
+        den += m.R.a[0, 0]
+        acx /= den
+        out = a * a * p
+        out += m.Q.a[0, 0]
+        out -= acx
+        return out
     a, c = m.A, m.C
     flat = p.reshape(k * n, n)
     em = np.ascontiguousarray(p.transpose(1, 2, 0))
@@ -193,11 +202,14 @@ def solve_dare(m) -> DareSolution:
 
 
 def _stream(seed_tuple: tuple, *purpose: int) -> np.random.Generator:
-    """Philox keyed by SeedSequence(seed_tuple, spawn_key=purpose); chains pass no purpose.
+    """Philox keyed by SeedSequence(seed_tuple, spawn_key=purpose).
 
-    A purpose pads the entropy to four words before the spawn key, so it never
-    gives the key of a seed tuple of under five entries (Salmon, Moraes, Dror
-    and Shaw, "Parallel random numbers: as easy as 1, 2, 3", SC'11).
+    A sampling run reads its arrival lanes from the stream of its seed tuple
+    alone, and its tie words from purpose `_TIES`; the `is_class_A` screen
+    reads purpose `_SCREEN` at seed (0,).  A purpose pads the entropy to four
+    words before the spawn key, so it never gives the key of a seed tuple of
+    under five entries (Salmon, Moraes, Dror and Shaw, "Parallel random
+    numbers: as easy as 1, 2, 3", SC'11).
     """
     key = np.random.SeedSequence(seed_tuple, spawn_key=purpose).generate_state(2, np.uint64)
     return np.random.Generator(np.random.Philox(key=key))

@@ -7,6 +7,7 @@ agreement with the package is evidence rather than tautology.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -410,3 +411,46 @@ def exceedance_scan_loop(step, p0, bits, thresholds):
         if t < horizon:
             p = step(p, bits[:, t])
     return tuple(sup_freq), tuple(arg_t)
+
+
+# Purpose of a sampling run's tie stream, restated.
+TIE_PURPOSE = 3
+
+
+def philox_stream(seed_tuple, *purpose):
+    """Philox keyed by SeedSequence(seed_tuple, spawn_key=purpose), restated."""
+    key = np.random.SeedSequence(seed_tuple, spawn_key=purpose).generate_state(2, np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def arrival_lanes(seed_tuple, size):
+    """The first `size` 8-bit lanes of the seed tuple's stream, as Python ints.
+
+    Lane j of raw word w is (w >> 8j) & 0xFF, low byte first, so word k gives
+    lanes 8k to 8k + 7.
+    """
+    words = philox_stream(seed_tuple).bit_generator.random_raw(-(-size // 8)).tolist()
+    return [(w >> (8 * j)) & 0xFF for w in words for j in range(8)][:size]
+
+
+def lane_arrival_bits(seed_tuple, gamma_bar, n, steps):
+    """Reference arrival bits (n, steps) under the eight-lanes-per-word contract.
+
+    Bit b = i * steps + t takes lane b of `arrival_lanes`.  With q = 256
+    gamma_bar as an exact fraction and h = floor(q), a lane below h arrives,
+    and a lane equal to h takes the next uniform (w >> 11) / 2^53 of the tie
+    stream, in row-major order, and arrives when it is below q - h, compared
+    as exact fractions.  gamma_bar = 1 arrives everywhere and draws nothing.
+    """
+    if gamma_bar == 1.0:
+        return np.ones((n, steps), dtype=bool)
+    q = Fraction(gamma_bar) * 256
+    h = math.floor(q)
+    ties = philox_stream(seed_tuple, TIE_PURPOSE).bit_generator
+    bits = []
+    for lane in arrival_lanes(seed_tuple, n * steps):
+        if lane == h:
+            bits.append(Fraction(int(ties.random_raw()) >> 11, 2**53) < q - h)
+        else:
+            bits.append(lane < h)
+    return np.array(bits, dtype=bool).reshape(n, steps)

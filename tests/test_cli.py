@@ -217,6 +217,14 @@ class TestConfigReader:
         except cli.ConfigError:
             pass
 
+    def test_seed_for_a_block_without_one_is_a_config_error(self):
+        # A rate block (k_cap 0) with seed 0 once read back a "seed" its
+        # table does not have.
+        config = {**VALID_BLOCKS, "rate": {"predicate": "ballc:5.0", "k_cap": 0}}
+        assert set(cli._read(config, "rate")) == set(cli._TABLES["rate"])
+        with pytest.raises(cli.ConfigError, match='"rate" block reads no "seed"'):
+            cli._read(config, "rate", 0)
+
     def test_valid_blocks_read(self):
         # Otherwise every example above would stop at the same bad field.
         assert cli._model_from_config(VALID_BLOCKS).dim_state == 1
@@ -486,22 +494,22 @@ class TestReproduceScalar:
         digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                    for name in ("probs.csv", "cdf.csv")}
         assert digests == {
-            "probs.csv": "921a75557ebbdcd3bf16f980c6bb3cd960e96e7dc12c277e1b550a2a5f9b67a1",
-            "cdf.csv": "07a5ee1a661d1c8ff5f4463c665e67cf29d0ce3979a78ee7478ddaef2b33d660",
+            "probs.csv": "bea0ed819355f744eb86679f1e52c8473dc31ff5ba2841e2acecc74ab3c80413",
+            "cdf.csv": "9ef755abf57557b09367201c1c46d58387d1c565cf60ee90465a946cfa7e63f5",
         }
 
     def test_study_drift_pinned(self, tmp_path, capsys):
         # The drift check reads gridpoint 0's chains at B // 2; at the
-        # default seed 2024 409 of 10 000 hit after 50 steps, 412 after 100.
+        # default seed 2024 413 of 10 000 hit after 50 steps, 427 after 100.
         out = tmp_path / "study"
         assert cli.main(["reproduce-scalar", "--out", str(out)]) == 0
         header, row = (out / "fit.csv").read_text().splitlines()[:2]
         fit = dict(zip(header.split(","), row.split(",")))
-        assert float(fit["drift_p_hat_half"]) == 0.0409
+        assert float(fit["drift_p_hat_half"]) == 0.0413
         assert fit["drift_within_2se"] == "true"
         assert capsys.readouterr().out.splitlines()[-1] == (
-            "burn-in drift at gamma_bar 0.55: p_hat 0.0409 after 50 steps, "
-            "0.0412 after 100; within 2 standard errors")
+            "burn-in drift at gamma_bar 0.55: p_hat 0.0413 after 50 steps, "
+            "0.0427 after 100; within 2 standard errors")
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_chains_exit_three(self, tmp_path, monkeypatch, capsys):
