@@ -9,7 +9,8 @@ configuration problem (an unreadable file, bad JSON, a config that is not a
 JSON object, unknown or missing keys, text, a boolean or a fraction where a
 number or integer belongs, inadmissible model), 3 numeric failure
 (non-convergence, degenerate fits, a `LinAlgError` from the numeric core).
-All CSV floats are printed with 17 significant digits so files parse back
+Every CSV artifact goes through the columnar writer of `csvout`: floats are
+written byte for byte as Python's `'%.17g' % x`, so files parse back
 losslessly and reruns with one seed are byte-identical.
 """
 
@@ -24,6 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .csvout import cells, write_csv
 from .linalg import SystemModel, validate_system
 from .models import scalar_study_model
 from .montecarlo import (
@@ -49,21 +51,6 @@ SLOPE_WINDOW = (3.0, 5.0)
 
 class ConfigError(Exception):
     """Anything wrong with user-supplied configuration."""
-
-
-def _fmt(x) -> str:
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, float):
-        return format(x, ".17g")
-    return str(x)
-
-
-def _write_csv(path: Path, header: list, rows: list) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -209,13 +196,12 @@ def cmd_simulate(args) -> int:
     traj = simulate_rre(model, cfg)
 
     out = _out_dir(args)
-    dim = model.dim_state
-    rows = []
-    for t, p in enumerate(traj.path):
-        gamma_t = traj.arrivals[t] if t < len(traj.arrivals) else ""
-        rows.append([t, gamma_t] + [float(v) for v in p.a.ravel()])
-    _write_csv(out / "trajectory.csv", ["t", "gamma_t"] + _entry_header(dim), rows)
-    print(f"wrote {out / 'trajectory.csv'} ({len(rows)} rows)")
+    entries = np.array([p.a.ravel() for p in traj.path])
+    # P_t for t = 0..horizon; the last has no arrival after it.
+    columns = [np.arange(len(entries)), [*traj.arrivals, ""], *entries.T]
+    write_csv(out / "trajectory.csv", ["t", "gamma_t"] + _entry_header(model.dim_state),
+              [[cells(c) for c in columns]])
+    print(f"wrote {out / 'trajectory.csv'} ({len(entries)} rows)")
     return EXIT_OK
 
 
@@ -229,11 +215,9 @@ def cmd_invariant(args) -> int:
     dist.require_finite()
 
     out = _out_dir(args)
-    rows = [
-        [i] + [float(v) for v in dist.samples[i].ravel()]
-        for i in range(dist.n)
-    ]
-    _write_csv(out / "samples.csv", ["chain_id"] + _entry_header(model.dim_state), rows)
+    columns = [np.arange(dist.n), *dist.samples.reshape(dist.n, -1).T]
+    write_csv(out / "samples.csv", ["chain_id"] + _entry_header(model.dim_state),
+              [[cells(c) for c in columns]])
     print(f"wrote {out / 'samples.csv'} ({dist.n} rows)")
     return EXIT_OK
 
@@ -258,19 +242,18 @@ def cmd_rate(args) -> int:
     return EXIT_OK
 
 
-def _fit_rows(fit) -> tuple[list, list]:
-    prob_rows = [
-        [g, p, h, fit.n_samples, c]
-        for g, p, h, c in zip(fit.gamma_grid, fit.probs, fit.hits, fit.censored)
-    ]
+def _write_fit(out: Path, fit) -> None:
+    """probs.csv, one row per gridpoint, and fit.csv, one row."""
+    probs = [fit.gamma_grid, fit.probs, fit.hits, fit.n_samples, fit.censored]
+    write_csv(out / "probs.csv", _PROBS_HEADER, [[cells(c) for c in probs]])
     drift = fit.burn_in_drift
-    fit_row = [
+    row = [
         fit.slope, fit.intercept, fit.stderr, fit.points_used,
         fit.n_samples, fit.burn_in,
         drift["gamma_bar"], drift["p_at_burn_in"],
         drift["p_at_half_burn_in"], drift["within_2se"],
     ]
-    return prob_rows, fit_row
+    write_csv(out / "fit.csv", _FIT_HEADER, [[cells(v) for v in row]])
 
 
 def _print_drift(fit) -> None:
@@ -295,10 +278,7 @@ def cmd_exponent(args) -> int:
                              n_samples=fields["n_samples"], burn_in=fields["burn_in"],
                              seed=fields["seed"])
 
-    out = _out_dir(args)
-    prob_rows, fit_row = _fit_rows(fit)
-    _write_csv(out / "probs.csv", _PROBS_HEADER, prob_rows)
-    _write_csv(out / "fit.csv", _FIT_HEADER, [fit_row])
+    _write_fit(_out_dir(args), fit)
     print(f"slope {fit.slope:.6f} (stderr {fit.stderr:.6f}) "
           f"from {fit.points_used} gridpoints")
     _print_drift(fit)
@@ -319,25 +299,15 @@ def cmd_reproduce_scalar(args) -> int:
     exact = iota(model, radius, p_star=p_star)
 
     out = _out_dir(args)
-    prob_rows, fit_row = _fit_rows(fit)
-    _write_csv(out / "probs.csv", _PROBS_HEADER, prob_rows)
-    _write_csv(out / "fit.csv", _FIT_HEADER, [fit_row])
+    _write_fit(out, fit)
 
-    # The fit's own samples: gridpoint j was drawn with seed (seed, j).  Each
-    # sample size's cdf column is formatted once, into per-line templates
-    # "%.17g,<cdf>\n"; a gridpoint joins them with its gamma field and
-    # formats all its values with one %.  Gridpoints are written one at a
-    # time: one string for the whole file raised peak memory by about 10 MB.
-    cdf_tails = {}
-    with open(out / "cdf.csv", "w", newline="") as fh:
-        fh.write("gamma_bar,x,cdf\n")
-        for gamma, dist in zip(grid, fit.distributions):
-            values = np.sort(dist.scalar_values())
-            n = values.size
-            if n not in cdf_tails:
-                cdf_tails[n] = ["%%.17g,%.17g\n" % (i / n) for i in range(1, n + 1)]
-            head = "%.17g," % gamma
-            fh.write((head + head.join(cdf_tails[n])) % tuple(values.tolist()))
+    # The fit's own samples, one block per gridpoint: gridpoint j was drawn
+    # with seed (seed, j).  Every gridpoint shares one cdf column.
+    n = STUDY_N_SAMPLES
+    cdf = cells(np.arange(1, n + 1) / n)
+    write_csv(out / "cdf.csv", ["gamma_bar", "x", "cdf"],
+              ([cells(gamma), cells(np.sort(dist.scalar_values())), cdf]
+               for gamma, dist in zip(grid, fit.distributions)))
 
     lo, hi = SLOPE_WINDOW
     passed = lo <= fit.slope <= hi and exact == 4

@@ -375,25 +375,23 @@ def prohorov_distance_scalar(d: EmpiricalDistribution, target: float) -> float:
 
         inf { eps > 0 : fraction(|x - target| > eps) <= eps },
 
-    computed here by scanning the sorted absolute deviations, so the result
-    is exact for the empirical measure rather than a grid approximation.
-    Raises RuntimeError when any chain went non-finite, and ValueError for a
-    non-finite target.
+    computed here from the sorted absolute deviations, so the result is
+    exact for the empirical measure rather than a grid approximation.  At
+    breakpoint i (0..n) the candidate is max(devs[i-1], (n - i) / n), with
+    devs[-1] read as 0; it counts when it lies below devs[i], and the last
+    breakpoint always counts.  Raises RuntimeError when any chain went
+    non-finite, and ValueError for an empty sample or a non-finite target.
     """
     d.require_finite()
     if not math.isfinite(target):
         raise ValueError(f"target must be finite, got {target}")
     devs = np.sort(np.abs(d.scalar_values() - float(target)))
     n = devs.size
-    best = math.inf
-    for i in range(n + 1):
-        lo = 0.0 if i == 0 else float(devs[i - 1])
-        hi = float(devs[i]) if i < n else math.inf
-        frac_outside = (n - i) / n
-        eps = max(lo, frac_outside)
-        if eps < hi or i == n:
-            best = min(best, eps)
-    return best
+    if n == 0:
+        raise ValueError("the sample is empty")
+    eps = np.maximum(np.concatenate(([0.0], devs)), (n - np.arange(n + 1)) / n)
+    counts = np.append(eps[:-1] < devs, True)
+    return float(eps[counts].min())
 
 
 @dataclass(frozen=True)

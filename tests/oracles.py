@@ -454,3 +454,37 @@ def lane_arrival_bits(seed_tuple, gamma_bar, n, steps):
         else:
             bits.append(lane < h)
     return np.array(bits, dtype=bool).reshape(n, steps)
+
+
+def prohorov_breakpoint_loop(values, target):
+    """The breakpoint scan of prohorov_distance_scalar as a Python loop over
+    the n + 1 breakpoints of the sorted deviations, with the same float
+    operations, so that the vectorized scan must match it exactly."""
+    devs = np.sort(np.abs(np.asarray(values, dtype=float) - float(target)))
+    n = devs.size
+    best = math.inf
+    for i in range(n + 1):
+        lo = 0.0 if i == 0 else float(devs[i - 1])
+        hi = float(devs[i]) if i < n else math.inf
+        frac_outside = (n - i) / n
+        eps = max(lo, frac_outside)
+        if eps < hi or i == n:
+            best = min(best, eps)
+    return best
+
+
+def write_csv_per_value(path, header, rows):
+    """The CLI's CSV writer before it went columnar, frozen: one row at a
+    time, booleans as true/false, floats through format(x, ".17g") and
+    everything else through str."""
+    def fmt(x):
+        if isinstance(x, bool):
+            return "true" if x else "false"
+        if isinstance(x, float):
+            return format(x, ".17g")
+        return str(x)
+
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(fmt(v) for v in row) + "\n")

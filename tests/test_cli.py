@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from riccati_mdp import SimulationConfig, SystemModel, cli, montecarlo, rate_over_set
 from riccati_mdp.models import scalar_study_model
 
@@ -519,6 +520,96 @@ class TestReproduceScalar:
             A=math.sqrt(2.0), C=1.0, Q=1.0, R=1.0, P0=np.finfo(float).max / 2))
         assert cli.main(["reproduce-scalar", "--out", str(tmp_path / "s")]) == 3
         assert "non-finite" in capsys.readouterr().err
+
+
+class TestArtifactBytes:
+    """Every CSV artifact is byte-identical to the frozen per-value writer
+    run on the rows the command computed."""
+
+    @staticmethod
+    def capture(monkeypatch, name):
+        """Record what cli.<name> returns while the command runs."""
+        seen = []
+        real = getattr(cli, name)
+
+        def recording(*args, **kwargs):
+            seen.append(real(*args, **kwargs))
+            return seen[-1]
+
+        monkeypatch.setattr(cli, name, recording)
+        return seen
+
+    @staticmethod
+    def fit_rows(fit):
+        probs = [[g, p, h, fit.n_samples, c]
+                 for g, p, h, c in zip(fit.gamma_grid, fit.probs, fit.hits, fit.censored)]
+        d = fit.burn_in_drift
+        row = [fit.slope, fit.intercept, fit.stderr, fit.points_used, fit.n_samples,
+               fit.burn_in, d["gamma_bar"], d["p_at_burn_in"], d["p_at_half_burn_in"],
+               d["within_2se"]]
+        return probs, [row]
+
+    def same(self, tmp_path, artifact, header, rows):
+        oracles.write_csv_per_value(tmp_path / "want.csv", header, rows)
+        assert artifact.read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    # A planar model whose covariances have negative off-diagonal entries.
+    PLANAR_NEGATIVE = {**PLANAR_MODEL, "A": [[1.2, -0.5], [0.0, 0.8]]}
+
+    @pytest.mark.parametrize("model", [PLANAR_MODEL, PLANAR_NEGATIVE])
+    def test_simulate(self, tmp_path, monkeypatch, model):
+        seen = self.capture(monkeypatch, "simulate_rre")
+        cfg = write_config(tmp_path, model=model,
+                           simulate={"gamma": 0.6, "horizon": 40, "seed": 2})
+        out = tmp_path / "sim"
+        assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        traj = seen[0]
+        rows = [[t, traj.arrivals[t] if t < len(traj.arrivals) else ""]
+                + [float(v) for v in p.a.ravel()] for t, p in enumerate(traj.path)]
+        if model is self.PLANAR_NEGATIVE:
+            assert min(min(r[2:]) for r in rows) < 0
+        self.same(tmp_path, out / "trajectory.csv",
+                  ["t", "gamma_t", "p_0_0", "p_0_1", "p_1_0", "p_1_1"], rows)
+
+    @pytest.mark.parametrize("model", [PLANAR_MODEL, PLANAR_NEGATIVE])
+    def test_invariant(self, tmp_path, monkeypatch, model):
+        seen = self.capture(monkeypatch, "sample_invariant")
+        cfg = write_config(tmp_path, model=model,
+                           invariant={"gamma": 0.7, "n_samples": 300, "burn_in": 30, "seed": 4})
+        out = tmp_path / "inv"
+        assert cli.main(["invariant", "--config", cfg, "--out", str(out)]) == 0
+        dist = seen[0]
+        rows = [[i] + [float(v) for v in dist.samples[i].ravel()] for i in range(dist.n)]
+        self.same(tmp_path, out / "samples.csv",
+                  ["chain_id", "p_0_0", "p_0_1", "p_1_0", "p_1_1"], rows)
+
+    def test_exponent(self, tmp_path, monkeypatch):
+        # gamma_bar 0.95 expects 800 * 0.05^4 = 0.005 hits: a censored row.
+        seen = self.capture(monkeypatch, "decay_exponent_fit")
+        cfg = write_config(tmp_path, exponent={
+            "predicate": "ballc:37.585786437626905", "gamma_grid": [0.55, 0.65, 0.75, 0.95],
+            "n_samples": 800, "burn_in": 50, "seed": 3})
+        out = tmp_path / "exp"
+        assert cli.main(["exponent", "--config", cfg, "--out", str(out)]) == 0
+        probs, fit_row = self.fit_rows(seen[0])
+        assert [row[-1] for row in probs] == [False, False, False, True]
+        self.same(tmp_path, out / "probs.csv", cli._PROBS_HEADER, probs)
+        self.same(tmp_path, out / "fit.csv", cli._FIT_HEADER, fit_row)
+
+    def test_reproduce_scalar(self, tmp_path, monkeypatch):
+        seen = self.capture(monkeypatch, "decay_exponent_fit")
+        out = tmp_path / "study"
+        assert cli.main(["reproduce-scalar", "--out", str(out)]) == 0
+        fit = seen[0]
+        probs, fit_row = self.fit_rows(fit)
+        self.same(tmp_path, out / "probs.csv", cli._PROBS_HEADER, probs)
+        self.same(tmp_path, out / "fit.csv", cli._FIT_HEADER, fit_row)
+        rows = []
+        for gamma, dist in zip(cli.STUDY_GRID, fit.distributions):
+            values = sorted(dist.scalar_values().tolist())
+            n = len(values)
+            rows += [[gamma, v, i / n] for i, v in enumerate(values, start=1)]
+        self.same(tmp_path, out / "cdf.csv", ["gamma_bar", "x", "cdf"], rows)
 
 
 class TestEntryPoint:

@@ -500,6 +500,33 @@ class TestProhorov:
             slow = oracles.prohorov_dirac_slow(vals, target)
             assert fast == pytest.approx(slow, abs=1e-12)
 
+    def test_equals_the_breakpoint_loop(self):
+        # Same float operations as the loop, so the results are equal, not
+        # close: continuous samples, heavy ties, samples on the target, and
+        # the study's sample size.
+        from riccati_mdp.montecarlo import EmpiricalDistribution
+        rng = np.random.default_rng(9)
+        cases = [(rng.exponential(1.0, size=int(rng.integers(1, 80))), float(rng.uniform(-1, 2)))
+                 for _ in range(150)]
+        cases += [(rng.integers(0, 5, size=int(rng.integers(1, 60))) / 4.0, 0.5)
+                  for _ in range(100)]
+        cases += [(np.full(7, 2.0), 2.0), (np.array([2.0]), 3.5),
+                  (2.0 + rng.exponential(0.05, size=10_000), 2.0 + 2.0 ** 0.5)]
+        for vals, target in cases:
+            samples = vals.astype(float).reshape(-1, 1, 1)
+            samples.flags.writeable = False
+            d = EmpiricalDistribution(samples=samples, gamma_bar=0.5, burn_in=0, seed=(0,))
+            assert prohorov_distance_scalar(d, target) == oracles.prohorov_breakpoint_loop(
+                vals, target)
+
+    def test_empty_sample_raises(self):
+        from riccati_mdp.montecarlo import EmpiricalDistribution
+        samples = np.zeros((0, 1, 1))
+        samples.flags.writeable = False
+        d = EmpiricalDistribution(samples=samples, gamma_bar=0.5, burn_in=0, seed=(0,))
+        with pytest.raises(ValueError, match="empty"):
+            prohorov_distance_scalar(d, 1.0)
+
     def test_point_mass_at_target_is_zero(self):
         from riccati_mdp.montecarlo import EmpiricalDistribution
         samples = np.full((10, 1, 1), 3.0)
